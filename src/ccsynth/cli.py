@@ -28,6 +28,7 @@ from .relations import (
 )
 from .synthesis import (
     DEFAULT_UNIVERSE_CAP,
+    PairSetFamily,
     build_supervisor,
     family_fixpoint,
     solvability_counterexample,
@@ -148,7 +149,7 @@ def _cmd_synthesize(args, report: _Report) -> int:
         report.counterexample = solvability_counterexample(g, r, fix)
         report.lines.append("unsolvable; no supervisor written")
         return 1
-    family = fix.materialize()
+    family = PairSetFamily(fix.ctx.universe, frozenset(fix.antichain))
     report.stats["family_size"] = len(family)
     sup = build_supervisor(family, g, r, reachable_only=not args.full)
     save_automaton(sup.automaton, args.output)

@@ -226,15 +226,13 @@ class _FamilyContext:
                         return False
         return True
 
-    def post_mask(self, w: int, ev: str) -> int:
-        """Universe pairs reachable when both sides follow a ``w`` pair's move."""
-        out = 0
-        for i in self.bits(w):
-            x, z = self.universe[i]
-            zs = self.r.successors(z, ev)
-            for x1 in self.g.successors(x, ev):
-                out |= self._mask((x1, z1) for z1 in zs)
-        return out
+    def obligations(self, w: int, ev: str) -> set[int]:
+        """Forward-obligation masks of ``w``'s pairs under ``ev``.
+
+        ``match(w, ev, t)`` holds exactly when ``t`` meets every one of
+        them, and their union is the set of pairs ``w``'s moves reach.
+        """
+        return {ob for i in self.bits(w) for ob in self.forward[i].get(ev, ())}
 
 
 def universe_kind(alphabet) -> RelationKind:
@@ -247,6 +245,11 @@ def _universe_refinement(g: Automaton, r: Automaton) -> RefineResult:
     return refine(g, r, universe_kind(g.alphabet))
 
 
+def _sorted_universe(g: Automaton, r: Automaton, res: RefineResult) -> tuple[Pair, ...]:
+    gi, ri = g.state_index, r.state_index
+    return tuple(sorted(res.alive, key=lambda p: (gi[p[0]], ri[p[1]])))
+
+
 def pairs_universe(g: Automaton, r: Automaton) -> tuple[Pair, ...]:
     """Admissible search space for family members.
 
@@ -255,9 +258,7 @@ def pairs_universe(g: Automaton, r: Automaton) -> tuple[Pair, ...]:
     the greatest relation closed under them.  Returned in deterministic
     (plant index, specification index) order.
     """
-    res = _universe_refinement(g, r)
-    gi, ri = g.state_index, r.state_index
-    return tuple(sorted(res.alive, key=lambda p: (gi[p[0]], ri[p[1]])))
+    return _sorted_universe(g, r, _universe_refinement(g, r))
 
 
 def f_step(e: PairSetFamily, g: Automaton, r: Automaton) -> PairSetFamily:
@@ -286,17 +287,22 @@ def downward_closure(e: PairSetFamily) -> PairSetFamily:
 
 
 def is_controllability_family(e: PairSetFamily, g: Automaton, r: Automaton) -> bool:
-    """Direct check of the family conditions, quantified over ``e`` itself."""
+    """Check of the family conditions, quantified over ``e`` itself.
+
+    Only the antichain A of ``e``'s maximal members is examined, and the
+    answer is the same as for the pairwise check over all of ``e``,
+    whether or not ``e`` is downward closed.  ``istate`` is upward
+    closed, so some member satisfies it iff some maximal one does.  The
+    match predicate shrinks with its first argument and grows with its
+    third, and a smaller member carries fewer backward obligations, so
+    a member passes against ``e`` iff the maximal member above it passes
+    against A.  The cost is O(|A|^2) instead of O(|e|^2).
+    """
     ctx = _FamilyContext(g, r, e.universe)
-    if not any(ctx.istate(w) for w in e.members):
+    chain = _maximal(e.members)
+    if not any(ctx.istate(w) for w in chain):
         return False
-    members = sorted(e.members)
-    return all(ctx.member_passes(w, members) for w in members)
-
-
-def istate_condition(e: PairSetFamily, g: Automaton, r: Automaton) -> bool:
-    ctx = _FamilyContext(g, r, e.universe)
-    return any(ctx.istate(w) for w in e.members)
+    return all(ctx.member_passes(w, chain) for w in chain)
 
 
 def _antichain_pass(ctx: _FamilyContext, chain: list[int]) -> list[int]:
@@ -373,8 +379,7 @@ def family_fixpoint(
     if cap is None:
         cap = DEFAULT_UNIVERSE_CAP
     res = _universe_refinement(g, r)
-    gi, ri = g.state_index, r.state_index
-    universe = tuple(sorted(res.alive, key=lambda p: (gi[p[0]], ri[p[1]])))
+    universe = _sorted_universe(g, r, res)
     if len(universe) > cap:
         raise CapExceeded(len(universe), cap)
     ctx = _FamilyContext(g, r, universe)
@@ -439,7 +444,6 @@ class SupervisorAutomaton:
 
     automaton: Automaton
     members: dict[str, tuple[Pair, ...]]
-    family: PairSetFamily
 
 
 @dataclass(frozen=True)
@@ -480,25 +484,28 @@ def _initial_members(ctx: _FamilyContext, chain: list[int]) -> list[int]:
 
 def _edge_targets(ctx: _FamilyContext, chain: list[int], w: int, ev: str) -> list[int]:
     # Valid successors of member w under ev: nonempty closure members
-    # inside the joint successor pairs of w that match all of w's moves.
-    post = ctx.post_mask(w, ev)
+    # inside the joint successor pairs of w that match all of w's moves,
+    # i.e. the hitting sets of w's forward obligations under ev.
+    obs = ctx.obligations(w, ev)
+    post = 0
+    for ob in obs:
+        post |= ob
     cand: set[int] = set()
     for m in chain:
-        cand.update(_submasks(post & m))
+        base = post & m
+        if all(base & ob for ob in obs):
+            cand.update(t for t in _submasks(base) if all(t & ob for ob in obs))
     cand.discard(0)
-    return sorted(t for t in cand if ctx.match(w, ev, t))
+    return sorted(cand)
 
 
 def _assemble_supervisor(
-    ctx: _FamilyContext,
-    chain: list[int],
-    closure: PairSetFamily,
-    *,
-    reachable_only: bool,
+    ctx: _FamilyContext, chain: list[int], *, reachable_only: bool
 ) -> SupervisorAutomaton:
     initial = _initial_members(ctx, chain)
     if not initial:
         raise NotAFamily("no member realizes the initial condition")
+    family = PairSetFamily(ctx.universe, frozenset(chain))
     events = ctx.g.alphabet.events
     edges: list[tuple[int, str, int]] = []
     if reachable_only:
@@ -515,14 +522,15 @@ def _assemble_supervisor(
                         order.append(t)
                         queue.append(t)
     else:
-        order = sorted(closure.members)
+        order = sorted(downward_closure(family).members)
         edges = [
             (w, ev, t)
             for w in order
             for ev in events
             for t in _edge_targets(ctx, chain, w, ev)
         ]
-    names = {w: member_state_id(closure.pairs_of(w)) for w in order}
+    pairs = {w: family.pairs_of(w) for w in order}
+    names = {w: member_state_id(pairs[w]) for w in order}
     aut = Automaton(
         alphabet=ctx.g.alphabet,
         states=tuple(names[w] for w in order),
@@ -530,9 +538,7 @@ def _assemble_supervisor(
         initial=tuple(names[w] for w in initial),
     )
     return SupervisorAutomaton(
-        automaton=aut,
-        members={names[w]: closure.pairs_of(w) for w in order},
-        family=closure,
+        automaton=aut, members={names[w]: pairs[w] for w in order}
     )
 
 
@@ -551,13 +557,17 @@ def build_supervisor(
     W' matches all of W's moves, and W' stays inside the pairs reachable
     by W's moves.  By default only the part reachable from the initial
     members is kept.
+
+    Everything works from the antichain of ``e``'s maximal members: the
+    family check is exact on it (see ``is_controllability_family``), and
+    the closure members needed as states are generated as submasks of
+    it while walking.  The closure itself is materialized only when
+    ``reachable_only=False`` asks for every member.
     """
     if not is_controllability_family(e, g, r):
         raise NotAFamily("input does not satisfy the controllability conditions")
-    closure = downward_closure(e)
-    ctx = _FamilyContext(g, r, closure.universe)
-    chain = _maximal(closure.members)
-    return _assemble_supervisor(ctx, chain, closure, reachable_only=reachable_only)
+    ctx = _FamilyContext(g, r, e.universe)
+    return _assemble_supervisor(ctx, _maximal(e.members), reachable_only=reachable_only)
 
 
 def extract_family(
@@ -625,9 +635,7 @@ def synthesize(g: Automaton, r: Automaton, cap: int | None = None) -> SynthesisO
     family = fix.materialize()
     if not fix.solvable():
         return SynthesisOutcome(False, family, iterations=fix.iterations)
-    supervisor = _assemble_supervisor(
-        fix.ctx, fix.antichain, family, reachable_only=True
-    )
+    supervisor = _assemble_supervisor(fix.ctx, fix.antichain, reachable_only=True)
     report = verify_solution(supervisor.automaton, g, r)
     return SynthesisOutcome(True, family, supervisor, report, fix.iterations)
 

@@ -2,19 +2,29 @@
 
 Everything here exists to check the production algorithms from an
 independent direction: relations by exhaustive enumeration, supervisors
-by pruning, instances by seeded generation that replays exactly.
+by pruning and by assembly over the materialized closure, instances by
+seeded generation that replays exactly.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .automata import Alphabet, Automaton, validate_automaton
-from .errors import CapExceeded
+from .errors import CapExceeded, NotAFamily
 from .relations import PairRelation, RelationKind
-from .synthesis import SupervisorAutomaton
+from .synthesis import (
+    PairSetFamily,
+    SupervisorAutomaton,
+    _FamilyContext,
+    _maximal,
+    _submasks,
+    downward_closure,
+    member_state_id,
+)
 
 BRUTE_PAIR_CAP = 9
 
@@ -125,6 +135,98 @@ def random_instance(spec: InstanceSpec) -> tuple[Automaton, Automaton]:
     validate_automaton(g)
     validate_automaton(r)
     return g, r
+
+
+def pairwise_is_controllability_family(
+    e: PairSetFamily, g: Automaton, r: Automaton
+) -> bool:
+    """The family conditions checked member by member over all of ``e``.
+
+    Quadratic in the number of members; the oracle for the antichain
+    check in ``is_controllability_family``.
+    """
+    ctx = _FamilyContext(g, r, e.universe)
+    if not any(ctx.istate(w) for w in e.members):
+        return False
+    members = sorted(e.members)
+    return all(ctx.member_passes(w, members) for w in members)
+
+
+def submask_edge_targets(
+    ctx: _FamilyContext, chain: list[int], w: int, ev: str
+) -> list[int]:
+    """Successors of member ``w`` under ``ev`` by brute enumeration.
+
+    Every nonempty submask of a chain member inside the pairs that
+    ``w``'s paired moves reach, kept when it matches all of ``w``'s
+    moves; the oracle for the hitting-set enumeration in assembly.
+    """
+    post = 0
+    for i in ctx.bits(w):
+        x, z = ctx.universe[i]
+        zs = ctx.r.successors(z, ev)
+        for x1 in ctx.g.successors(x, ev):
+            for z1 in zs:
+                j = ctx.index.get((x1, z1))
+                if j is not None:
+                    post |= 1 << j
+    cand: set[int] = set()
+    for m in chain:
+        cand.update(_submasks(post & m))
+    cand.discard(0)
+    return sorted(t for t in cand if ctx.match(w, ev, t))
+
+
+def closure_supervisor(
+    e: PairSetFamily, g: Automaton, r: Automaton, *, reachable_only: bool = True
+) -> SupervisorAutomaton:
+    """Supervisor assembled over the materialized downward closure of ``e``.
+
+    Checks the family pairwise, names states from the closure and finds
+    successors by submask enumeration; the oracle for
+    ``build_supervisor``, which works from the antichain alone.
+    """
+    if not pairwise_is_controllability_family(e, g, r):
+        raise NotAFamily("input does not satisfy the controllability conditions")
+    closure = downward_closure(e)
+    ctx = _FamilyContext(g, r, closure.universe)
+    chain = _maximal(closure.members)
+    initial = sorted(
+        w for w in closure.members if w & ~ctx.initial_mask == 0 and ctx.istate(w)
+    )
+    if not initial:
+        raise NotAFamily("no member realizes the initial condition")
+    events = g.alphabet.events
+    if reachable_only:
+        order, edges = list(initial), []
+        seen, queue = set(order), deque(order)
+        while queue:
+            w = queue.popleft()
+            for ev in events:
+                for t in submask_edge_targets(ctx, chain, w, ev):
+                    edges.append((w, ev, t))
+                    if t not in seen:
+                        seen.add(t)
+                        order.append(t)
+                        queue.append(t)
+    else:
+        order = sorted(closure.members)
+        edges = [
+            (w, ev, t)
+            for w in order
+            for ev in events
+            for t in submask_edge_targets(ctx, chain, w, ev)
+        ]
+    names = {w: member_state_id(closure.pairs_of(w)) for w in order}
+    aut = Automaton(
+        alphabet=g.alphabet,
+        states=tuple(names[w] for w in order),
+        transitions=tuple((names[a], ev, names[b]) for a, ev, b in edges),
+        initial=tuple(names[w] for w in initial),
+    )
+    return SupervisorAutomaton(
+        automaton=aut, members={names[w]: closure.pairs_of(w) for w in order}
+    )
 
 
 def enumerate_subsupervisors(
