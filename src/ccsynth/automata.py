@@ -85,9 +85,10 @@ class Automaton:
     Transitions are normalized to a sorted, duplicate-free tuple at
     construction (by state/event declaration indices), so two automata
     describing the same structure compare equal regardless of the order
-    in which transitions were supplied.  ``pair_of`` carries component
-    information on synchronous products and never takes part in
-    equality.
+    in which transitions were supplied; input that is already in that
+    form is kept as given.  ``state_index`` maps each state to its
+    declaration index.  ``pair_of`` carries component information on
+    synchronous products and never takes part in equality.
     """
 
     alphabet: Alphabet
@@ -101,22 +102,21 @@ class Automaton:
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         sidx = {s: i for i, s in enumerate(self.states)}
-        eidx = {e: i for i, e in enumerate(self.alphabet.events)}
+        eidx = self.alphabet._event_index
         big = len(sidx) + len(eidx) + 1
 
         def tkey(t: Transition):
             return (sidx.get(t[0], big), eidx.get(t[1], big), sidx.get(t[2], big), t)
 
-        trans = sorted(set(map(tuple, self.transitions)), key=tkey)
-        object.__setattr__(self, "transitions", tuple(trans))
+        trans = tuple(self.transitions)
+        if not _is_canonical(trans, sidx, eidx):
+            trans = tuple(sorted(set(map(tuple, trans)), key=tkey))
+        object.__setattr__(self, "transitions", trans)
         init = sorted(set(self.initial), key=lambda s: (sidx.get(s, big), s))
         object.__setattr__(self, "initial", tuple(init))
+        object.__setattr__(self, "state_index", sidx)
 
     # -- indexed views -------------------------------------------------
-
-    @cached_property
-    def state_index(self) -> dict[str, int]:
-        return {s: i for i, s in enumerate(self.states)}
 
     @cached_property
     def _succ(self) -> dict[tuple[str, str], tuple[str, ...]]:
@@ -124,6 +124,20 @@ class Automaton:
         for src, ev, dst in self.transitions:
             out.setdefault((src, ev), []).append(dst)
         return {k: tuple(v) for k, v in out.items()}
+
+    @cached_property
+    def successor_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Successor indices, ``successor_table[event][state]``.
+
+        Indices follow event and state declaration order and each entry
+        is ascending, like ``successors``.  The relation checks and the
+        product run on this table instead of on named transitions.
+        """
+        sidx, eidx = self.state_index, self.alphabet._event_index
+        rows = [[[] for _ in self.states] for _ in eidx]
+        for src, ev, dst in self.transitions:
+            rows[eidx[ev]][sidx[src]].append(sidx[dst])
+        return tuple(tuple(map(tuple, row)) for row in rows)
 
     def successors(self, state: str, event: str) -> tuple[str, ...]:
         """Targets of ``state --event-->``, in state declaration order."""
@@ -135,6 +149,28 @@ class Automaton:
     @property
     def n_states(self) -> int:
         return len(self.states)
+
+
+def _is_canonical(
+    transitions: tuple, sidx: dict[str, int], eidx: dict[str, int]
+) -> bool:
+    """Are ``transitions`` declared tuples, strictly ascending by index?
+
+    Strict ascent by (source, event, target) index rules out duplicates,
+    so such input is already in the normal form and needs no sort.
+    """
+    if set(map(type, transitions)) - {tuple} or set(map(len, transitions)) - {3}:
+        return False
+    prev = (-1, -1, -1)
+    try:
+        for src, ev, dst in transitions:
+            key = (sidx[src], eidx[ev], sidx[dst])
+            if key <= prev:
+                return False
+            prev = key
+    except KeyError:
+        return False
+    return True
 
 
 def validate_automaton(a: Automaton) -> None:
@@ -183,41 +219,56 @@ def sync_product(s: Automaton, g: Automaton, *, full: bool = False) -> Automaton
     unless ``full`` is given; initial states are all pairs of initials.
     The result's ``pair_of`` maps each product state id back to its
     component pair.
+
+    Runs on integer pair codes ``y * |g| + x``.  States are numbered in
+    discovery order (row-major for ``full``), and transitions come out
+    sorted by (source, event, target) index, which is the automaton's
+    normal form, so construction does not sort them again.
     """
     require_same_alphabet(s, g)
-    roots = [(y, x) for y in s.initial for x in g.initial]
-    if full:
-        order = [(y, x) for y in s.states for x in g.states]
-    else:
-        order = list(roots)
-        seen = set(order)
-        queue = deque(order)
-        while queue:
-            y, x = queue.popleft()
-            for ev in s.alphabet.events:
-                for y1 in s.successors(y, ev):
-                    for x1 in g.successors(x, ev):
-                        if (y1, x1) not in seen:
-                            seen.add((y1, x1))
-                            order.append((y1, x1))
-                            queue.append((y1, x1))
-    names = {pair: product_state_id(*pair) for pair in order}
-    present = set(order)
-    transitions = [
-        (names[(y, x)], ev, names[(y1, x1)])
-        for (y, x) in order
-        for ev in s.alphabet.events
-        for y1 in s.successors(y, ev)
-        for x1 in g.successors(x, ev)
-        if (y1, x1) in present
-    ]
-    return Automaton(
+    events = s.alphabet.events
+    ss, gs = s.successor_table, g.successor_table
+    ng = g.n_states
+    si, gi = s.state_index, g.state_index
+    roots = [si[y] * ng + gi[x] for y in s.initial for x in g.initial]
+    order = list(range(s.n_states * ng)) if full else list(roots)
+    index = {p: i for i, p in enumerate(order)}
+    names = [product_state_id(s.states[p // ng], g.states[p % ng]) for p in order]
+    transitions: list[Transition] = []
+    table: list[list[tuple[int, ...]]] = [[] for _ in events]
+    i = 0
+    while i < len(order):
+        y, x = divmod(order[i], ng)
+        src = names[i]
+        for k, ev in enumerate(events):
+            targets = []
+            xs = gs[k][x]
+            for y1 in ss[k][y]:
+                base = y1 * ng
+                for x1 in xs:
+                    j = index.get(base + x1)
+                    if j is None:
+                        j = index[base + x1] = len(order)
+                        order.append(base + x1)
+                        names.append(product_state_id(s.states[y1], g.states[x1]))
+                    targets.append(j)
+            targets.sort()
+            table[k].append(tuple(targets))
+            transitions.extend((src, ev, names[j]) for j in targets)
+        i += 1
+    prod = Automaton(
         alphabet=s.alphabet,
-        states=tuple(names[p] for p in order),
+        states=tuple(names),
         transitions=tuple(transitions),
-        initial=tuple(names[p] for p in roots if p in present),
-        pair_of={names[p]: ProductState(*p) for p in order},
+        initial=tuple(names[index[p]] for p in roots),
+        pair_of={
+            name: ProductState(s.states[p // ng], g.states[p % ng])
+            for name, p in zip(names, order)
+        },
     )
+    # The walk above already produced the product's successor table.
+    prod.__dict__["successor_table"] = tuple(map(tuple, table))
+    return prod
 
 
 def reach(a: Automaton, sequence: Sequence[str]) -> frozenset[str]:

@@ -21,12 +21,23 @@ union, so a unique greatest one exists; it is computed by deleting
 violating pairs from the full product until stable.  Deletions are
 logged so that a failed check can be explained by walking the deletion
 cascade down to a pair whose obligation has no candidate witness at all.
+
+Representation: the engine works on state indices and the automata's
+shared successor tables.  The relation is one int bit row of right
+states per left state, so a clause test is a mask operation instead of
+a loop over successor pairs (the bit-parallel idea of Henzinger,
+Henzinger & Kopke, FOCS 1995, with the pair-by-pair deletion order
+kept).  Each deletion is logged as a tuple of integers; state names,
+``_Deletion`` records and their candidate pairs are built only when a
+counterexample asks for them, so a check that holds names nothing.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Set
+from dataclasses import dataclass
+from functools import cached_property
 
 from .automata import Automaton, require_same_alphabet
 from .errors import CapExceeded, UniverseMismatch
@@ -204,15 +215,75 @@ class _Deletion:
     candidates: tuple[tuple[str, str], ...]
 
 
-@dataclass
-class RefineResult:
-    """Greatest relation for a kind's clauses, with its deletion log."""
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    left: Automaton
-    right: Automaton
-    alive: set[tuple[str, str]]
-    reasons: dict[tuple[str, str], _Deletion] = field(default_factory=dict)
-    deletions: int = 0
+
+class AlivePairs(Set):
+    """Named, read-only view of the pairs a refinement kept.
+
+    Membership and size read the bit rows directly; iteration names the
+    pairs in (left index, right index) order.
+    """
+
+    def __init__(self, res: "RefineResult"):
+        self._res = res
+
+    def __contains__(self, pair) -> bool:
+        x, z = pair
+        xi = self._res.left.state_index.get(x)
+        zi = self._res.right.state_index.get(z)
+        return xi is not None and zi is not None and bool(self._res.rows[xi] >> zi & 1)
+
+    def __len__(self) -> int:
+        return sum(row.bit_count() for row in self._res.rows)
+
+    def __iter__(self):
+        xs, zs = self._res.left.states, self._res.right.states
+        for xi, row in enumerate(self._res.rows):
+            for zi in _bits(row):
+                yield xs[xi], zs[zi]
+
+
+class RefineResult:
+    """Greatest relation for a kind's clauses, with its deletion log.
+
+    ``rows[x]`` is the bit mask of right states still related to left
+    state ``x``.  Each deletion is logged as integers, in deletion order,
+    as (pair code ``x * |right| + z``, clause, event index, successor
+    index); ``reasons`` names them, with their candidate witnesses, only
+    when first read.
+    """
+
+    def __init__(self, left: Automaton, right: Automaton, rows: list[int], log: list):
+        self.left, self.right = left, right
+        self.rows = rows
+        self._log = log
+        self.deletions = len(log)
+        self.alive = AlivePairs(self)
+
+    @cached_property
+    def reasons(self) -> dict[tuple[str, str], _Deletion]:
+        a, b = self.left, self.right
+        xs, zs, nb = a.states, b.states, b.n_states
+        sa, sb = a.successor_table, b.successor_table
+        out: dict[tuple[str, str], _Deletion] = {}
+        for time, (pid, clause, k, succ) in enumerate(self._log):
+            xi, zi = divmod(pid, nb)
+            if clause == FORWARD:
+                cands = tuple((xs[succ], zs[z1]) for z1 in sb[k][zi])
+                name = xs[succ]
+            else:
+                cands = tuple((xs[x1], zs[succ]) for x1 in sa[k][xi])
+                name = zs[succ]
+            out[(xs[xi], zs[zi])] = _Deletion(
+                clause, a.alphabet.events[k], name, time, cands
+            )
+        return out
 
     def relation(self) -> PairRelation:
         return PairRelation(self.left, self.right, frozenset(self.alive))
@@ -248,6 +319,14 @@ def refine(a: Automaton, b: Automaton, kind: RelationKind) -> RefineResult:
     pair re-queues exactly the pairs whose clauses could have used it as
     a witness.  Fully deterministic, and the result is the unique
     greatest clause-closed relation regardless of processing order.
+
+    The relation is held as one bit row of right states per left state,
+    so the forward clause for a move x --e--> x1 is one ``&`` of x1's row
+    with z's successor mask, and the backward clause tests z's
+    successors against the OR of the rows of x's successors.  Pairs are
+    checked, deleted and re-queued in the same order as a pair-by-pair
+    scan, so deletion times, clauses and counterexamples do not depend
+    on the representation.
     """
     require_same_alphabet(a, b)
     events = a.alphabet.events
@@ -255,88 +334,74 @@ def refine(a: Automaton, b: Automaton, kind: RelationKind) -> RefineResult:
         if ev not in a.alphabet._event_index:
             raise UniverseMismatch(f"kind references event {ev!r} outside the alphabet")
     na, nb = a.n_states, b.n_states
-    ai, bi = a.state_index, b.state_index
     fwd = [k for k, ev in enumerate(events) if ev in kind.forward_events]
     bwd = [k for k, ev in enumerate(events) if ev in kind.backward_events]
     deps = sorted(set(fwd) | set(bwd))
 
-    def tables(aut, index, nst):
-        succ = [[() for _ in range(nst)] for _ in events]
-        pred = [[[] for _ in range(nst)] for _ in events]
-        for src, ev, dst in aut.transitions:
-            k, si, di = aut.alphabet._event_index[ev], index[src], index[dst]
-            succ[k][si] += (di,)
-            pred[k][di].append(si)
-        return succ, pred
+    succ_a, succ_b = a.successor_table, b.successor_table
+    succ_mask_b = [[sum(1 << z for z in zs) for zs in row] for row in succ_b]
+    # Predecessors under the events a deletion can matter for: ascending
+    # left indices, and right-state masks.
+    pred_a = {k: [[] for _ in range(na)] for k in deps}
+    pred_mask_b = {k: [0] * nb for k in deps}
+    for k in deps:
+        for xi, xs in enumerate(succ_a[k]):
+            for x1 in xs:
+                pred_a[k][x1].append(xi)
+        for zi, zs in enumerate(succ_b[k]):
+            for z1 in zs:
+                pred_mask_b[k][z1] |= 1 << zi
 
-    succ_a, pred_a = tables(a, ai, na)
-    succ_b, pred_b = tables(b, bi, nb)
-
-    n = na * nb
-    alive = bytearray([1]) * n
-    reasons: dict[int, _Deletion] = {}
-    clock = 0
+    rows = [(1 << nb) - 1] * na
+    queued = [0] * na
+    log: list[tuple[int, str, int, int]] = []
     queue: deque[int] = deque()
-    queued = bytearray(n)
 
-    def check(pid: int):
-        xi, zi = divmod(pid, nb)
+    def check(xi: int, zi: int):
         for k in fwd:
-            zs = succ_b[k][zi]
+            zs = succ_mask_b[k][zi]
             for x1 in succ_a[k][xi]:
-                base = x1 * nb
-                if not any(alive[base + z1] for z1 in zs):
-                    return FORWARD, k, x1, tuple(base + z1 for z1 in zs)
+                if not rows[x1] & zs:
+                    return FORWARD, k, x1
         for k in bwd:
-            xs = succ_a[k][xi]
-            for z1 in succ_b[k][zi]:
-                if not any(alive[x1 * nb + z1] for x1 in xs):
-                    return BACKWARD, k, z1, tuple(x1 * nb + z1 for x1 in xs)
+            zs = succ_mask_b[k][zi]
+            if zs:
+                covered = 0
+                for x1 in succ_a[k][xi]:
+                    covered |= rows[x1]
+                missing = zs & ~covered
+                if missing:
+                    return BACKWARD, k, (missing & -missing).bit_length() - 1
         return None
 
-    def kill(pid: int, hit) -> None:
-        nonlocal clock
-        clause, k, succ_state, cands = hit
-        alive[pid] = 0
-        succ_name = a.states[succ_state] if clause == FORWARD else b.states[succ_state]
-        reasons[pid] = _Deletion(
-            clause,
-            events[k],
-            succ_name,
-            clock,
-            tuple((a.states[c // nb], b.states[c % nb]) for c in cands),
-        )
-        clock += 1
-        xi, zi = divmod(pid, nb)
-        for kk in deps:
-            for px in pred_a[kk][xi]:
-                base = px * nb
-                for pz in pred_b[kk][zi]:
-                    q = base + pz
-                    if alive[q] and not queued[q]:
-                        queued[q] = 1
-                        queue.append(q)
+    def kill(xi: int, zi: int, hit) -> None:
+        rows[xi] &= ~(1 << zi)
+        log.append((xi * nb + zi, *hit))
+        for k in deps:
+            pz = pred_mask_b[k][zi]
+            if not pz:
+                continue
+            for px in pred_a[k][xi]:
+                new = pz & rows[px] & ~queued[px]
+                if new:
+                    queued[px] |= new
+                    base = px * nb
+                    queue.extend(base + z for z in _bits(new))
 
-    for pid in range(n):
-        hit = check(pid)
-        if hit is not None:
-            kill(pid, hit)
+    for xi in range(na):
+        for zi in range(nb):
+            hit = check(xi, zi)
+            if hit is not None:
+                kill(xi, zi, hit)
     while queue:
-        pid = queue.popleft()
-        queued[pid] = 0
-        if not alive[pid]:
-            continue
-        hit = check(pid)
-        if hit is not None:
-            kill(pid, hit)
+        xi, zi = divmod(queue.popleft(), nb)
+        queued[xi] &= ~(1 << zi)
+        if rows[xi] >> zi & 1:
+            hit = check(xi, zi)
+            if hit is not None:
+                kill(xi, zi, hit)
 
-    alive_pairs = {
-        (a.states[pid // nb], b.states[pid % nb]) for pid in range(n) if alive[pid]
-    }
-    named_reasons = {
-        (a.states[pid // nb], b.states[pid % nb]): d for pid, d in reasons.items()
-    }
-    return RefineResult(a, b, alive_pairs, named_reasons, deletions=clock)
+    return RefineResult(a, b, rows, log)
 
 
 def greatest_relation(a: Automaton, b: Automaton, kind: RelationKind) -> PairRelation:
@@ -419,16 +484,15 @@ def holds(
     success, otherwise a counterexample naming the failing clause.
     """
     res = refine(a, b, kind)
-    rel = res.relation()
     if kind.check_initial:
         for x0 in a.initial:
-            if not any((x0, z0) in rel.pairs for z0 in b.initial):
+            if not any((x0, z0) in res.alive for z0 in b.initial):
                 return False, _initial_counterexample(res, x0, True)
     if kind.check_inverse_initial:
         for z0 in b.initial:
-            if not any((x0, z0) in rel.pairs for x0 in a.initial):
+            if not any((x0, z0) in res.alive for x0 in a.initial):
                 return False, _initial_counterexample(res, z0, False)
-    return True, rel
+    return True, res.relation()
 
 
 def match_predicate(w: PairRelation, event: str, w2: PairRelation) -> bool:
@@ -457,23 +521,33 @@ def is_admissible(
     counterexample is the first violating (y, x, event) in BFS order.
     """
     require_same_alphabet(s, g)
-    unc = [ev for ev in g.alphabet.events if ev in g.alphabet.uncontrollable]
-    queue = deque((y, x) for y in s.initial for x in g.initial)
+    events = g.alphabet.events
+    unc = [k for k, ev in enumerate(events) if ev in g.alphabet.uncontrollable]
+    ss, gs = s.successor_table, g.successor_table
+    ng = g.n_states
+    queue = deque(
+        s.state_index[y] * ng + g.state_index[x] for y in s.initial for x in g.initial
+    )
     seen = set(queue)
     while queue:
-        y, x = queue.popleft()
-        for ev in unc:
+        y, x = divmod(queue.popleft(), ng)
+        for k in unc:
             # (y, x) --ev--> exists in the product iff both factors move.
-            if g.enables(x, ev) and not s.enables(y, ev):
+            if gs[k][x] and not ss[k][y]:
                 return False, Counterexample(
-                    kind=ADMISSIBILITY, left=y, right=x, event=ev
+                    kind=ADMISSIBILITY,
+                    left=s.states[y],
+                    right=g.states[x],
+                    event=events[k],
                 )
-        for ev in g.alphabet.events:
-            for y1 in s.successors(y, ev):
-                for x1 in g.successors(x, ev):
-                    if (y1, x1) not in seen:
-                        seen.add((y1, x1))
-                        queue.append((y1, x1))
+        for k in range(len(events)):
+            xs = gs[k][x]
+            for y1 in ss[k][y]:
+                base = y1 * ng
+                for x1 in xs:
+                    if base + x1 not in seen:
+                        seen.add(base + x1)
+                        queue.append(base + x1)
     return True, None
 
 

@@ -43,6 +43,7 @@ from .relations import (
     PairRelation,
     RefineResult,
     RelationKind,
+    _bits,
     holds,
     is_admissible,
     is_cc_simulation,
@@ -186,12 +187,7 @@ class _FamilyContext:
                 m |= 1 << i
         return m
 
-    @staticmethod
-    def bits(mask: int):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+    bits = staticmethod(_bits)
 
     def ok(self, i: int, ev: str, target: int) -> bool:
         return all(target & ob for ob in self.forward[i].get(ev, ()))
@@ -245,11 +241,6 @@ def _universe_refinement(g: Automaton, r: Automaton) -> RefineResult:
     return refine(g, r, universe_kind(g.alphabet))
 
 
-def _sorted_universe(g: Automaton, r: Automaton, res: RefineResult) -> tuple[Pair, ...]:
-    gi, ri = g.state_index, r.state_index
-    return tuple(sorted(res.alive, key=lambda p: (gi[p[0]], ri[p[1]])))
-
-
 def pairs_universe(g: Automaton, r: Automaton) -> tuple[Pair, ...]:
     """Admissible search space for family members.
 
@@ -258,7 +249,7 @@ def pairs_universe(g: Automaton, r: Automaton) -> tuple[Pair, ...]:
     the greatest relation closed under them.  Returned in deterministic
     (plant index, specification index) order.
     """
-    return _sorted_universe(g, r, _universe_refinement(g, r))
+    return tuple(_universe_refinement(g, r).alive)
 
 
 def f_step(e: PairSetFamily, g: Automaton, r: Automaton) -> PairSetFamily:
@@ -379,7 +370,7 @@ def family_fixpoint(
     if cap is None:
         cap = DEFAULT_UNIVERSE_CAP
     res = _universe_refinement(g, r)
-    universe = _sorted_universe(g, r, res)
+    universe = tuple(res.alive)
     if len(universe) > cap:
         raise CapExceeded(len(universe), cap)
     ctx = _FamilyContext(g, r, universe)
@@ -493,9 +484,15 @@ def _edge_targets(ctx: _FamilyContext, chain: list[int], w: int, ev: str) -> lis
     cand: set[int] = set()
     for m in chain:
         base = post & m
-        if all(base & ob for ob in obs):
-            cand.update(t for t in _submasks(base) if all(t & ob for ob in obs))
-    cand.discard(0)
+        if not all(map(base.__and__, obs)):
+            continue
+        # The nonzero submasks of base, walked inline: this loop is where
+        # assembly spends its time.
+        t = base
+        while t:
+            if all(map(t.__and__, obs)):
+                cand.add(t)
+            t = (t - 1) & base
     return sorted(cand)
 
 
@@ -507,34 +504,40 @@ def _assemble_supervisor(
         raise NotAFamily("no member realizes the initial condition")
     family = PairSetFamily(ctx.universe, frozenset(chain))
     events = ctx.g.alphabet.events
-    edges: list[tuple[int, str, int]] = []
+    # One (member, event, targets) entry per source and event, the
+    # targets in state order; a tuple per edge would cost several times
+    # the memory on supervisors with millions of edges.
+    edges: list[tuple[int, str, list[int]]] = []
     if reachable_only:
         order: list[int] = list(initial)
-        seen = set(order)
+        position = {w: i for i, w in enumerate(order)}
         queue = deque(order)
         while queue:
             w = queue.popleft()
             for ev in events:
-                for t in _edge_targets(ctx, chain, w, ev):
-                    edges.append((w, ev, t))
-                    if t not in seen:
-                        seen.add(t)
+                targets = _edge_targets(ctx, chain, w, ev)
+                for t in targets:
+                    if t not in position:
+                        position[t] = len(order)
                         order.append(t)
                         queue.append(t)
+                # By state index, the automaton's normal form, so that
+                # construction does not sort the edges again.
+                targets.sort(key=position.__getitem__)
+                edges.append((w, ev, targets))
     else:
         order = sorted(downward_closure(family).members)
         edges = [
-            (w, ev, t)
-            for w in order
-            for ev in events
-            for t in _edge_targets(ctx, chain, w, ev)
+            (w, ev, _edge_targets(ctx, chain, w, ev)) for w in order for ev in events
         ]
     pairs = {w: family.pairs_of(w) for w in order}
     names = {w: member_state_id(pairs[w]) for w in order}
     aut = Automaton(
         alphabet=ctx.g.alphabet,
         states=tuple(names[w] for w in order),
-        transitions=tuple((names[a], ev, names[b]) for a, ev, b in edges),
+        transitions=tuple(
+            (names[a], ev, names[b]) for a, ev, targets in edges for b in targets
+        ),
         initial=tuple(names[w] for w in initial),
     )
     return SupervisorAutomaton(

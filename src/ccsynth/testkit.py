@@ -1,21 +1,39 @@
 """Brute-force oracles and reproducible random instances.
 
 Everything here exists to check the production algorithms from an
-independent direction: relations by exhaustive enumeration, supervisors
-by pruning and by assembly over the materialized closure, instances by
-seeded generation that replays exactly.
+independent direction: relations by exhaustive enumeration and by
+pair-by-pair refinement over named transitions, products and
+admissibility over named states, supervisors by pruning and by assembly
+over the materialized closure, instances by seeded generation that
+replays exactly.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
-from .automata import Alphabet, Automaton, validate_automaton
-from .errors import CapExceeded, NotAFamily
-from .relations import PairRelation, RelationKind
+from .automata import (
+    Alphabet,
+    Automaton,
+    ProductState,
+    product_state_id,
+    require_same_alphabet,
+    validate_automaton,
+)
+from .errors import CapExceeded, NotAFamily, UniverseMismatch
+from .relations import (
+    ADMISSIBILITY,
+    BACKWARD,
+    FORWARD,
+    Counterexample,
+    PairRelation,
+    RefineResult,
+    RelationKind,
+    _Deletion,
+)
 from .synthesis import (
     PairSetFamily,
     SupervisorAutomaton,
@@ -65,6 +83,185 @@ def brute_greatest_relation(
         if satisfies(rel):
             union |= rel
     return PairRelation(a, b, frozenset(union))
+
+
+@dataclass
+class PairwiseRefineResult:
+    """``refine``'s result as the pair-by-pair engine builds it: named
+    alive pairs and every deletion reason, built eagerly."""
+
+    left: Automaton
+    right: Automaton
+    alive: set[tuple[str, str]]
+    reasons: dict[tuple[str, str], _Deletion] = field(default_factory=dict)
+    deletions: int = 0
+
+    # The cascade walk and the relation read only ``alive`` and ``reasons``.
+    relation = RefineResult.relation
+    root_cause = RefineResult.root_cause
+
+
+def pairwise_refine(
+    a: Automaton, b: Automaton, kind: RelationKind
+) -> PairwiseRefineResult:
+    """``refine`` one pair at a time over tables read from named transitions.
+
+    Same scan order, FIFO re-queue and first-violated clause as the bit-row
+    engine; the oracle for it, deletion times and candidates included.
+    """
+    require_same_alphabet(a, b)
+    events = a.alphabet.events
+    for ev in kind.forward_events | kind.backward_events:
+        if ev not in a.alphabet._event_index:
+            raise UniverseMismatch(f"kind references event {ev!r} outside the alphabet")
+    na, nb = a.n_states, b.n_states
+    ai, bi = a.state_index, b.state_index
+    fwd = [k for k, ev in enumerate(events) if ev in kind.forward_events]
+    bwd = [k for k, ev in enumerate(events) if ev in kind.backward_events]
+    deps = sorted(set(fwd) | set(bwd))
+
+    def tables(aut, index, nst):
+        succ = [[() for _ in range(nst)] for _ in events]
+        pred = [[[] for _ in range(nst)] for _ in events]
+        for src, ev, dst in aut.transitions:
+            k, si, di = aut.alphabet._event_index[ev], index[src], index[dst]
+            succ[k][si] += (di,)
+            pred[k][di].append(si)
+        return succ, pred
+
+    succ_a, pred_a = tables(a, ai, na)
+    succ_b, pred_b = tables(b, bi, nb)
+
+    n = na * nb
+    alive = bytearray([1]) * n
+    reasons: dict[int, _Deletion] = {}
+    clock = 0
+    queue: deque[int] = deque()
+    queued = bytearray(n)
+
+    def check(pid: int):
+        xi, zi = divmod(pid, nb)
+        for k in fwd:
+            zs = succ_b[k][zi]
+            for x1 in succ_a[k][xi]:
+                base = x1 * nb
+                if not any(alive[base + z1] for z1 in zs):
+                    return FORWARD, k, x1, tuple(base + z1 for z1 in zs)
+        for k in bwd:
+            xs = succ_a[k][xi]
+            for z1 in succ_b[k][zi]:
+                if not any(alive[x1 * nb + z1] for x1 in xs):
+                    return BACKWARD, k, z1, tuple(x1 * nb + z1 for x1 in xs)
+        return None
+
+    def kill(pid: int, hit) -> None:
+        nonlocal clock
+        clause, k, succ_state, cands = hit
+        alive[pid] = 0
+        succ_name = a.states[succ_state] if clause == FORWARD else b.states[succ_state]
+        reasons[pid] = _Deletion(
+            clause,
+            events[k],
+            succ_name,
+            clock,
+            tuple((a.states[c // nb], b.states[c % nb]) for c in cands),
+        )
+        clock += 1
+        xi, zi = divmod(pid, nb)
+        for kk in deps:
+            for px in pred_a[kk][xi]:
+                base = px * nb
+                for pz in pred_b[kk][zi]:
+                    q = base + pz
+                    if alive[q] and not queued[q]:
+                        queued[q] = 1
+                        queue.append(q)
+
+    for pid in range(n):
+        hit = check(pid)
+        if hit is not None:
+            kill(pid, hit)
+    while queue:
+        pid = queue.popleft()
+        queued[pid] = 0
+        if not alive[pid]:
+            continue
+        hit = check(pid)
+        if hit is not None:
+            kill(pid, hit)
+
+    alive_pairs = {
+        (a.states[pid // nb], b.states[pid % nb]) for pid in range(n) if alive[pid]
+    }
+    named_reasons = {
+        (a.states[pid // nb], b.states[pid % nb]): d for pid, d in reasons.items()
+    }
+    return PairwiseRefineResult(a, b, alive_pairs, named_reasons, deletions=clock)
+
+
+def named_sync_product(s: Automaton, g: Automaton, *, full: bool = False) -> Automaton:
+    """``sync_product`` over named pairs, normalized by the generic sort.
+
+    The oracle for the integer product and its canonical emission.
+    """
+    require_same_alphabet(s, g)
+    roots = [(y, x) for y in s.initial for x in g.initial]
+    if full:
+        order = [(y, x) for y in s.states for x in g.states]
+    else:
+        order = list(roots)
+        seen = set(order)
+        queue = deque(order)
+        while queue:
+            y, x = queue.popleft()
+            for ev in s.alphabet.events:
+                for y1 in s.successors(y, ev):
+                    for x1 in g.successors(x, ev):
+                        if (y1, x1) not in seen:
+                            seen.add((y1, x1))
+                            order.append((y1, x1))
+                            queue.append((y1, x1))
+    names = {pair: product_state_id(*pair) for pair in order}
+    present = set(order)
+    transitions = [
+        (names[(y, x)], ev, names[(y1, x1)])
+        for (y, x) in order
+        for ev in s.alphabet.events
+        for y1 in s.successors(y, ev)
+        for x1 in g.successors(x, ev)
+        if (y1, x1) in present
+    ]
+    return Automaton(
+        alphabet=s.alphabet,
+        states=tuple(names[p] for p in order),
+        transitions=tuple(transitions),
+        initial=tuple(names[p] for p in roots if p in present),
+        pair_of={names[p]: ProductState(*p) for p in order},
+    )
+
+
+def named_is_admissible(
+    s: Automaton, g: Automaton
+) -> tuple[bool, Counterexample | None]:
+    """``is_admissible`` by BFS over named product states; its oracle."""
+    require_same_alphabet(s, g)
+    unc = [ev for ev in g.alphabet.events if ev in g.alphabet.uncontrollable]
+    queue = deque((y, x) for y in s.initial for x in g.initial)
+    seen = set(queue)
+    while queue:
+        y, x = queue.popleft()
+        for ev in unc:
+            if g.enables(x, ev) and not s.enables(y, ev):
+                return False, Counterexample(
+                    kind=ADMISSIBILITY, left=y, right=x, event=ev
+                )
+        for ev in g.alphabet.events:
+            for y1 in s.successors(y, ev):
+                for x1 in g.successors(x, ev):
+                    if (y1, x1) not in seen:
+                        seen.add((y1, x1))
+                        queue.append((y1, x1))
+    return True, None
 
 
 @dataclass(frozen=True)
