@@ -9,10 +9,13 @@ makes all derived outputs deterministic.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import islice
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     AlphabetMismatch,
@@ -77,6 +80,84 @@ class Alphabet:
         return {e: i for i, e in enumerate(self.events)}
 
 
+SuccessorTable = tuple[tuple[tuple[int, ...], ...], ...]
+
+
+class Transitions(Sequence):
+    """Read-only (source, event, target) view of a successor table.
+
+    ``table[event][state]`` holds ascending target state indices.  The
+    view iterates in the automaton's normal form, sorted by (source,
+    event, target) index, names each triple only as it is read, and is
+    equal to, and hashes like, the tuple of those triples.  Its length
+    is counted once, at construction.
+    """
+
+    def __init__(self, states: tuple[str, ...], events: tuple[str, ...], table):
+        self.states, self.events = states, events
+        self.table: SuccessorTable = tuple(map(tuple, table))
+        self._len = sum(len(targets) for row in self.table for targets in row)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        states, events = self.states, self.events
+        for src, rows in zip(states, zip(*self.table)):
+            for ev, targets in zip(events, rows):
+                for j in targets:
+                    yield src, ev, states[j]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        index = operator.index(index)
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError("transition index out of range")
+        return next(islice(self, index, None))
+
+    def __contains__(self, item) -> bool:
+        if not isinstance(item, tuple) or len(item) != 3:
+            return False
+        src, ev, dst = item
+        try:
+            i, j = self._state_index[src], self._state_index[dst]
+            k = self._event_index[ev]
+        except (KeyError, TypeError):
+            return False
+        return j in self.table[k][i]
+
+    @cached_property
+    def _state_index(self) -> dict[str, int]:
+        return {s: i for i, s in enumerate(self.states)}
+
+    @cached_property
+    def _event_index(self) -> dict[str, int]:
+        return {e: i for i, e in enumerate(self.events)}
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Transitions) and (self.states, self.events) == (
+            other.states,
+            other.events,
+        ):
+            return self.table == other.table
+        if isinstance(other, (tuple, Transitions)):
+            return self._len == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(tuple(self))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class Automaton:
     """Nondeterministic automaton: states, labeled transitions and a
@@ -86,14 +167,19 @@ class Automaton:
     construction (by state/event declaration indices), so two automata
     describing the same structure compare equal regardless of the order
     in which transitions were supplied; input that is already in that
-    form is kept as given.  ``state_index`` maps each state to its
-    declaration index.  ``pair_of`` carries component information on
-    synchronous products and never takes part in equality.
+    form is kept as given.  ``from_table`` builds an automaton from its
+    integer successor table instead: ``transitions`` is then a
+    ``Transitions`` view of that table, equal to the sorted tuple, and
+    no named triple is stored.  ``successor_table`` is the one index
+    that successor queries, the relation checks and the product read.
+    ``state_index`` maps each state to its declaration index.
+    ``pair_of`` carries component information on synchronous products
+    and never takes part in equality.
     """
 
     alphabet: Alphabet
     states: tuple[str, ...]
-    transitions: tuple[Transition, ...]
+    transitions: Sequence[Transition]
     initial: tuple[str, ...]
     pair_of: Mapping[str, ProductState] | None = field(
         default=None, compare=False, repr=False
@@ -108,43 +194,71 @@ class Automaton:
         def tkey(t: Transition):
             return (sidx.get(t[0], big), eidx.get(t[1], big), sidx.get(t[2], big), t)
 
-        trans = tuple(self.transitions)
-        if not _is_canonical(trans, sidx, eidx):
-            trans = tuple(sorted(set(map(tuple, trans)), key=tkey))
+        trans = self.transitions
+        if not (
+            isinstance(trans, Transitions)
+            and trans.states == self.states
+            and trans.events == self.alphabet.events
+        ):
+            trans = tuple(trans)
+            if not _is_canonical(trans, sidx, eidx):
+                trans = tuple(sorted(set(map(tuple, trans)), key=tkey))
         object.__setattr__(self, "transitions", trans)
         init = sorted(set(self.initial), key=lambda s: (sidx.get(s, big), s))
         object.__setattr__(self, "initial", tuple(init))
         object.__setattr__(self, "state_index", sidx)
 
+    @classmethod
+    def from_table(
+        cls,
+        alphabet: Alphabet,
+        states: Iterable[str],
+        successor_table,
+        initial: Iterable[str],
+        pair_of: Mapping[str, ProductState] | None = None,
+    ) -> "Automaton":
+        """Automaton over ``successor_table[event][state]``, whose entries
+        are ascending tuples of target state indices."""
+        states = tuple(states)
+        return cls(
+            alphabet,
+            states,
+            Transitions(states, alphabet.events, successor_table),
+            tuple(initial),
+            pair_of,
+        )
+
     # -- indexed views -------------------------------------------------
 
     @cached_property
-    def _succ(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        out: dict[tuple[str, str], list[str]] = {}
-        for src, ev, dst in self.transitions:
-            out.setdefault((src, ev), []).append(dst)
-        return {k: tuple(v) for k, v in out.items()}
-
-    @cached_property
-    def successor_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    def successor_table(self) -> SuccessorTable:
         """Successor indices, ``successor_table[event][state]``.
 
         Indices follow event and state declaration order and each entry
         is ascending, like ``successors``.  The relation checks and the
         product run on this table instead of on named transitions.
         """
+        if isinstance(self.transitions, Transitions):
+            return self.transitions.table
         sidx, eidx = self.state_index, self.alphabet._event_index
         rows = [[[] for _ in self.states] for _ in eidx]
         for src, ev, dst in self.transitions:
             rows[eidx[ev]][sidx[src]].append(sidx[dst])
         return tuple(tuple(map(tuple, row)) for row in rows)
 
+    def _targets(self, state: str, event: str) -> tuple[int, ...]:
+        i = self.state_index.get(state)
+        k = self.alphabet._event_index.get(event)
+        if i is None or k is None:
+            return ()
+        return self.successor_table[k][i]
+
     def successors(self, state: str, event: str) -> tuple[str, ...]:
         """Targets of ``state --event-->``, in state declaration order."""
-        return self._succ.get((state, event), ())
+        return tuple(map(self.states.__getitem__, self._targets(state, event)))
 
     def enables(self, state: str, event: str) -> bool:
-        return (state, event) in self._succ
+        return bool(self._targets(state, event))
 
     @property
     def n_states(self) -> int:
@@ -221,9 +335,8 @@ def sync_product(s: Automaton, g: Automaton, *, full: bool = False) -> Automaton
     component pair.
 
     Runs on integer pair codes ``y * |g| + x``.  States are numbered in
-    discovery order (row-major for ``full``), and transitions come out
-    sorted by (source, event, target) index, which is the automaton's
-    normal form, so construction does not sort them again.
+    discovery order (row-major for ``full``), and the walk fills the
+    product's successor table directly, so no named transition is built.
     """
     require_same_alphabet(s, g)
     events = s.alphabet.events
@@ -233,14 +346,11 @@ def sync_product(s: Automaton, g: Automaton, *, full: bool = False) -> Automaton
     roots = [si[y] * ng + gi[x] for y in s.initial for x in g.initial]
     order = list(range(s.n_states * ng)) if full else list(roots)
     index = {p: i for i, p in enumerate(order)}
-    names = [product_state_id(s.states[p // ng], g.states[p % ng]) for p in order]
-    transitions: list[Transition] = []
     table: list[list[tuple[int, ...]]] = [[] for _ in events]
     i = 0
     while i < len(order):
         y, x = divmod(order[i], ng)
-        src = names[i]
-        for k, ev in enumerate(events):
+        for k in range(len(events)):
             targets = []
             xs = gs[k][x]
             for y1 in ss[k][y]:
@@ -250,25 +360,19 @@ def sync_product(s: Automaton, g: Automaton, *, full: bool = False) -> Automaton
                     if j is None:
                         j = index[base + x1] = len(order)
                         order.append(base + x1)
-                        names.append(product_state_id(s.states[y1], g.states[x1]))
                     targets.append(j)
             targets.sort()
             table[k].append(tuple(targets))
-            transitions.extend((src, ev, names[j]) for j in targets)
         i += 1
-    prod = Automaton(
-        alphabet=s.alphabet,
-        states=tuple(names),
-        transitions=tuple(transitions),
-        initial=tuple(names[index[p]] for p in roots),
-        pair_of={
-            name: ProductState(s.states[p // ng], g.states[p % ng])
-            for name, p in zip(names, order)
-        },
+    pairs = [ProductState(s.states[p // ng], g.states[p % ng]) for p in order]
+    names = [product_state_id(*pair) for pair in pairs]
+    return Automaton.from_table(
+        s.alphabet,
+        names,
+        table,
+        [names[index[p]] for p in roots],
+        pair_of=dict(zip(names, pairs)),
     )
-    # The walk above already produced the product's successor table.
-    prod.__dict__["successor_table"] = tuple(map(tuple, table))
-    return prod
 
 
 def reach(a: Automaton, sequence: Sequence[str]) -> frozenset[str]:
@@ -316,7 +420,7 @@ def is_deterministic(a: Automaton) -> bool:
     """One initial state and at most one successor per (state, event)."""
     if len(a.initial) != 1:
         return False
-    return all(len(a.successors(s, ev)) <= 1 for (s, ev) in a._succ)
+    return all(len(targets) <= 1 for row in a.successor_table for targets in row)
 
 
 def default_inclusion_bound(a: Automaton, b: Automaton) -> int:

@@ -14,6 +14,7 @@ reproduces it exactly.
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
 
 from .automata import Alphabet, Automaton, validate_automaton
@@ -112,21 +113,32 @@ def parse_automaton(text: str) -> Automaton:
     return a
 
 
-def serialize_automaton(a: Automaton) -> str:
-    lines = []
+# Lines joined per write in ``save_automaton``: few enough to keep the
+# text of a large automaton out of memory, enough to keep writes few.
+_LINES_PER_WRITE = 1024
+
+
+def _serialized_lines(a: Automaton):
+    """The lines of ``serialize_automaton(a)``, newline included."""
+    if not (a.alphabet.events or a.states):
+        yield "\n"
+        return
     for ev in a.alphabet.events:
         attrs = ""
         if ev in a.alphabet.uncontrollable:
             attrs += " uncontrollable"
         if ev in a.alphabet.required:
             attrs += " required"
-        lines.append(f"event {ev}{attrs}")
+        yield f"event {ev}{attrs}\n"
     initial = set(a.initial)
     for s in a.states:
-        lines.append(f"state {s} initial" if s in initial else f"state {s}")
+        yield f"state {s} initial\n" if s in initial else f"state {s}\n"
     for src, ev, dst in a.transitions:
-        lines.append(f"trans {src} {ev} {dst}")
-    return "\n".join(lines) + "\n"
+        yield f"trans {src} {ev} {dst}\n"
+
+
+def serialize_automaton(a: Automaton) -> str:
+    return "".join(_serialized_lines(a))
 
 
 def _quote(name: str) -> str:
@@ -152,4 +164,8 @@ def load_automaton(path: str | Path) -> Automaton:
 
 
 def save_automaton(a: Automaton, path: str | Path) -> None:
-    Path(path).write_text(serialize_automaton(a), encoding="utf-8")
+    """Write ``serialize_automaton(a)`` in chunks of lines, never as one string."""
+    lines = _serialized_lines(a)
+    with open(path, "w", encoding="utf-8") as fh:
+        while chunk := "".join(islice(lines, _LINES_PER_WRITE)):
+            fh.write(chunk)

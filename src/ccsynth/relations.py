@@ -551,6 +551,37 @@ def is_admissible(
     return True, None
 
 
+def product_admissibility(
+    prod: Automaton, g: Automaton
+) -> tuple[bool, Counterexample | None]:
+    """``is_admissible(s, g)`` read off ``prod = sync_product(s, g)``.
+
+    The product numbers its states in the BFS order ``is_admissible``
+    walks, and takes an event exactly where both factors move, so the
+    first product state at which the plant enables an uncontrollable
+    event that the product does not take, with the first such event, is
+    the violation ``is_admissible`` reports.
+    """
+    require_same_alphabet(prod, g)
+    events = g.alphabet.events
+    unc = [k for k, ev in enumerate(events) if ev in g.alphabet.uncontrollable]
+    gs, ps = g.successor_table, prod.successor_table
+    # Uncontrollable events each plant state enables, by its name.
+    demanded = {x: [k for k in unc if gs[k][i]] for i, x in enumerate(g.states)}
+    pair_of = prod.pair_of
+    for i, name in enumerate(prod.states):
+        pair = pair_of[name]
+        for k in demanded[pair.right]:
+            if not ps[k][i]:
+                return False, Counterexample(
+                    kind=ADMISSIBILITY,
+                    left=pair.left,
+                    right=pair.right,
+                    event=events[k],
+                )
+    return True, None
+
+
 DEFAULT_SUBSET_PAIR_CAP = 100_000
 
 

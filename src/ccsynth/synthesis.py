@@ -27,7 +27,6 @@ member enumeration in the test suite.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 
 from .automata import (
@@ -47,6 +46,7 @@ from .relations import (
     holds,
     is_admissible,
     is_cc_simulation,
+    product_admissibility,
     refine,
 )
 
@@ -475,9 +475,13 @@ def _initial_members(ctx: _FamilyContext, chain: list[int]) -> list[int]:
 
 def _edge_targets(ctx: _FamilyContext, chain: list[int], w: int, ev: str) -> list[int]:
     # Valid successors of member w under ev: nonempty closure members
-    # inside the joint successor pairs of w that match all of w's moves,
-    # i.e. the hitting sets of w's forward obligations under ev.
-    obs = ctx.obligations(w, ev)
+    # inside the joint successor pairs of w that match all of w's moves.
+    return _hitting_sets(chain, ctx.obligations(w, ev))
+
+
+def _hitting_sets(chain: list[int], obs) -> list[int]:
+    """Nonzero submasks of the chain members that meet every mask in
+    ``obs``, inside the union of ``obs``; ascending."""
     post = 0
     for ob in obs:
         post |= ob
@@ -504,45 +508,40 @@ def _assemble_supervisor(
         raise NotAFamily("no member realizes the initial condition")
     family = PairSetFamily(ctx.universe, frozenset(chain))
     events = ctx.g.alphabet.events
-    # One (member, event, targets) entry per source and event, the
-    # targets in state order; a tuple per edge would cost several times
-    # the memory on supervisors with millions of edges.
-    edges: list[tuple[int, str, list[int]]] = []
     if reachable_only:
-        order: list[int] = list(initial)
-        position = {w: i for i, w in enumerate(order)}
-        queue = deque(order)
-        while queue:
-            w = queue.popleft()
-            for ev in events:
-                targets = _edge_targets(ctx, chain, w, ev)
-                for t in targets:
+        order = list(initial)
+    else:
+        order = sorted(downward_closure(family).members)
+    position = {w: i for i, w in enumerate(order)}
+    # Edge targets depend on a member and event only through the forward
+    # obligations, so they are found once per set of obligations, and
+    # moves with equal obligations share one tuple of target indices.
+    memo: dict[frozenset[int], tuple[int, ...]] = {}
+    table: list[list[tuple[int, ...]]] = [[] for _ in events]
+    # Members are expanded in state order, so each appends its own row;
+    # when reachable_only, the members found along the way are queued
+    # at the end of ``order``.
+    i = 0
+    while i < len(order):
+        w = order[i]
+        for k, ev in enumerate(events):
+            key = frozenset(ctx.obligations(w, ev))
+            targets = memo.get(key)
+            if targets is None:
+                masks = _hitting_sets(chain, key)
+                for t in masks:
                     if t not in position:
                         position[t] = len(order)
                         order.append(t)
-                        queue.append(t)
-                # By state index, the automaton's normal form, so that
-                # construction does not sort the edges again.
-                targets.sort(key=position.__getitem__)
-                edges.append((w, ev, targets))
-    else:
-        order = sorted(downward_closure(family).members)
-        edges = [
-            (w, ev, _edge_targets(ctx, chain, w, ev)) for w in order for ev in events
-        ]
-    pairs = {w: family.pairs_of(w) for w in order}
-    names = {w: member_state_id(pairs[w]) for w in order}
-    aut = Automaton(
-        alphabet=ctx.g.alphabet,
-        states=tuple(names[w] for w in order),
-        transitions=tuple(
-            (names[a], ev, names[b]) for a, ev, targets in edges for b in targets
-        ),
-        initial=tuple(names[w] for w in initial),
+                targets = memo[key] = tuple(sorted(map(position.__getitem__, masks)))
+            table[k].append(targets)
+        i += 1
+    pairs = [family.pairs_of(w) for w in order]
+    names = [member_state_id(p) for p in pairs]
+    aut = Automaton.from_table(
+        ctx.g.alphabet, names, table, [names[position[w]] for w in initial]
     )
-    return SupervisorAutomaton(
-        automaton=aut, members={names[w]: pairs[w] for w in order}
-    )
+    return SupervisorAutomaton(automaton=aut, members=dict(zip(names, pairs)))
 
 
 def build_supervisor(
@@ -613,12 +612,23 @@ def verify_solution(s: Automaton, g: Automaton, r: Automaton) -> VerificationRep
 
     Checks admissibility and the covariant-contravariant simulation of
     the supervised system by the specification; shares nothing with the
-    family machinery.
+    family machinery.  One product walk serves both conditions: the
+    admissibility verdict is read off the product, and the simulation's
+    initial condition off the refined bit rows, so a passing check
+    names no relation.  A failing one is explained by ``is_admissible``
+    and ``holds``, exactly as by those checks on their own.
     """
     require_same_alphabet(s, g)
     require_same_alphabet(g, r)
+    prod = sync_product(s, g)
+    kind = RelationKind.cc_simulation(r.alphabet)
+    admissible, _ = product_admissibility(prod, g)
+    rows = refine(prod, r, kind).rows
+    initial = sum(1 << r.state_index[z0] for z0 in r.initial)
+    if admissible and all(rows[prod.state_index[x0]] & initial for x0 in prod.initial):
+        return VerificationReport(admissible=True, cc_simulated=True)
     admissible, acx = is_admissible(s, g)
-    ok, result = holds(sync_product(s, g), r, RelationKind.cc_simulation(r.alphabet))
+    ok, result = holds(prod, r, kind)
     return VerificationReport(
         admissible=admissible,
         cc_simulated=ok,

@@ -23,7 +23,7 @@ from ccsynth import (
     validate_automaton,
     verify_solution,
 )
-from ccsynth import automata, relations
+from ccsynth import relations
 from ccsynth.synthesis import (
     _assemble_supervisor,
     family_fixpoint,
@@ -127,37 +127,32 @@ def assert_same_product(s, g, full):
     assert got.successor_table == want.successor_table
 
 
-def record_canonical_checks(monkeypatch) -> list[bool]:
-    """Verdicts of every canonical-form check made from now on."""
-    verdicts = []
-    is_canonical = automata._is_canonical
+def assert_canonical(aut):
+    """Transitions read in the normal form, and the automaton rebuilt
+    from them is its equal twin, with an equal hash."""
+    triples = tuple(aut.transitions)
+    sidx, eidx = aut.state_index, aut.alphabet._event_index
+    key = lambda t: (sidx[t[0]], eidx[t[1]], sidx[t[2]])
+    assert triples == tuple(sorted(set(triples), key=key))
+    twin = Automaton(aut.alphabet, aut.states, triples, aut.initial)
+    assert twin.transitions == triples
+    assert aut == twin and twin == aut
+    assert hash(aut) == hash(twin)
 
-    def recording(*args):
-        verdicts.append(is_canonical(*args))
-        return verdicts[-1]
 
-    monkeypatch.setattr(automata, "_is_canonical", recording)
-    return verdicts
-
-
-def test_sync_product_agrees_with_named_oracle(monkeypatch):
-    # The product must come out canonical, so that construction keeps it
-    # as emitted instead of falling back to the sort.
-    verdicts = record_canonical_checks(monkeypatch)
+def test_sync_product_agrees_with_named_oracle():
     for s, g in random_pairs(150, 77):
         for full in (False, True):
             assert_same_product(s, g, full)
             assert_same_product(g, s, full)
     assert_same_product(scanner_s(), scanner_g(), False)
-    verdicts.clear()
+    # The product must come out in the normal form.
     for s, g in random_pairs(150, 77):
         for full in (False, True):
-            sync_product(s, g, full=full)
-            assert verdicts.pop() is True
+            assert_canonical(sync_product(s, g, full=full))
 
 
-def test_supervisors_are_assembled_in_canonical_order(monkeypatch):
-    verdicts = record_canonical_checks(monkeypatch)
+def test_supervisors_are_assembled_in_canonical_order():
     # Seeds 8, 9 and 27 of the 3x3 draws reach earlier members out of
     # mask order.
     specs = [InstanceSpec(3, 2, 2, density=0.4, seed=seed) for seed in range(30)]
@@ -167,9 +162,10 @@ def test_supervisors_are_assembled_in_canonical_order(monkeypatch):
         if not fix.solvable():
             continue
         for reachable_only in (True, False):
-            verdicts.clear()
-            _assemble_supervisor(fix.ctx, fix.antichain, reachable_only=reachable_only)
-            assert verdicts == [True]
+            sup = _assemble_supervisor(
+                fix.ctx, fix.antichain, reachable_only=reachable_only
+            )
+            assert_canonical(sup.automaton)
 
 
 def test_is_admissible_agrees_with_named_oracle():
