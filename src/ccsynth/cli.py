@@ -15,8 +15,10 @@ import os
 import sys
 import time
 
+# perfbench/tracer.py wraps names by getattr on this module (e.g.
+# ``build_supervisor``), so every imported name stays bound.
 from .automata import Automaton
-from .errors import CcsynthError, ParseError
+from .errors import CcsynthError
 from .fileformat import export_dot, load_automaton, save_automaton, serialize_automaton
 from .relations import (
     Counterexample,
@@ -316,13 +318,7 @@ def run_command(argv: list[str]) -> int:
     report = _Report(args.command)
     try:
         code = args.func(args, report)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CcsynthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CcsynthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.emit(args.json)

@@ -39,7 +39,7 @@ from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
 
-from .automata import Automaton, require_same_alphabet
+from .automata import Automaton, require_same_alphabet, sync_product
 from .errors import CapExceeded, UniverseMismatch
 
 FORWARD = "forward"
@@ -451,7 +451,7 @@ def inverse_initial_condition(phi: PairRelation) -> bool:
     )
 
 
-def _initial_counterexample(
+def _explain_initial(
     res: RefineResult, failing: str, from_left: bool
 ) -> Counterexample:
     # Every candidate pairing of the failing initial state was deleted;
@@ -474,6 +474,27 @@ def _initial_counterexample(
     )
 
 
+def initial_counterexample(
+    res: RefineResult, kind: RelationKind
+) -> Counterexample | None:
+    """The kind's initial-state conditions, read off a refinement.
+
+    Returns None when they hold; otherwise the deletion cascade of the
+    first initial state that lost every pairing.  Reads only
+    ``res.left``, ``res.right``, ``res.alive`` and ``res.reasons``.
+    """
+    a, b = res.left, res.right
+    if kind.check_initial:
+        for x0 in a.initial:
+            if not any((x0, z0) in res.alive for z0 in b.initial):
+                return _explain_initial(res, x0, True)
+    if kind.check_inverse_initial:
+        for z0 in b.initial:
+            if not any((x0, z0) in res.alive for x0 in a.initial):
+                return _explain_initial(res, z0, False)
+    return None
+
+
 def holds(
     a: Automaton, b: Automaton, kind: RelationKind
 ) -> tuple[bool, PairRelation | Counterexample]:
@@ -484,31 +505,10 @@ def holds(
     success, otherwise a counterexample naming the failing clause.
     """
     res = refine(a, b, kind)
-    if kind.check_initial:
-        for x0 in a.initial:
-            if not any((x0, z0) in res.alive for z0 in b.initial):
-                return False, _initial_counterexample(res, x0, True)
-    if kind.check_inverse_initial:
-        for z0 in b.initial:
-            if not any((x0, z0) in res.alive for x0 in a.initial):
-                return False, _initial_counterexample(res, z0, False)
+    cx = initial_counterexample(res, kind)
+    if cx is not None:
+        return False, cx
     return True, res.relation()
-
-
-def match_predicate(w: PairRelation, event: str, w2: PairRelation) -> bool:
-    """Does every move of a ``w`` pair under ``event`` land in ``w2``?
-
-    True iff for every (x, z) in ``w`` and every x --event--> x' there is
-    some z --event--> z' with (x', z') in ``w2``.
-    """
-    if (w.left, w.right) != (w2.left, w2.right):
-        raise UniverseMismatch("both relations must range over the same automata")
-    g, r = w.left, w.right
-    for x, z in w.pairs:
-        for x1 in g.successors(x, event):
-            if not any((x1, z1) in w2.pairs for z1 in r.successors(z, event)):
-                return False
-    return True
 
 
 def is_admissible(
@@ -520,47 +520,18 @@ def is_admissible(
     event enabled by the plant at x is enabled by the product.  The
     counterexample is the first violating (y, x, event) in BFS order.
     """
-    require_same_alphabet(s, g)
-    events = g.alphabet.events
-    unc = [k for k, ev in enumerate(events) if ev in g.alphabet.uncontrollable]
-    ss, gs = s.successor_table, g.successor_table
-    ng = g.n_states
-    queue = deque(
-        s.state_index[y] * ng + g.state_index[x] for y in s.initial for x in g.initial
-    )
-    seen = set(queue)
-    while queue:
-        y, x = divmod(queue.popleft(), ng)
-        for k in unc:
-            # (y, x) --ev--> exists in the product iff both factors move.
-            if gs[k][x] and not ss[k][y]:
-                return False, Counterexample(
-                    kind=ADMISSIBILITY,
-                    left=s.states[y],
-                    right=g.states[x],
-                    event=events[k],
-                )
-        for k in range(len(events)):
-            xs = gs[k][x]
-            for y1 in ss[k][y]:
-                base = y1 * ng
-                for x1 in xs:
-                    if base + x1 not in seen:
-                        seen.add(base + x1)
-                        queue.append(base + x1)
-    return True, None
+    return product_admissibility(sync_product(s, g), g)
 
 
 def product_admissibility(
     prod: Automaton, g: Automaton
 ) -> tuple[bool, Counterexample | None]:
-    """``is_admissible(s, g)`` read off ``prod = sync_product(s, g)``.
+    """Admissibility of a supervisor ``s`` read off ``prod = sync_product(s, g)``.
 
-    The product numbers its states in the BFS order ``is_admissible``
-    walks, and takes an event exactly where both factors move, so the
-    first product state at which the plant enables an uncontrollable
-    event that the product does not take, with the first such event, is
-    the violation ``is_admissible`` reports.
+    The product numbers its reachable states in BFS order and takes an
+    event exactly where both factors move, so the violation reported is
+    the first product state at which the plant enables an uncontrollable
+    event that the product does not take, with the first such event.
     """
     require_same_alphabet(prod, g)
     events = g.alphabet.events

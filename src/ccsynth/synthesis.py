@@ -12,10 +12,11 @@ states with specification states) such that
   state is matched by a plant move landing, together with the rest of
   the member's moves, in some member.
 
-Families are filtered by a monotone step (``f_step``); its greatest
-fixpoint over the powerset of an admissible pair universe decides
-solvability, and the supervisor automaton built from that fixpoint is
-the maximally permissive solution.
+Families are filtered by a monotone step that keeps the members
+satisfying both conditions against the family; its greatest fixpoint
+over the powerset of an admissible pair universe decides solvability,
+and the supervisor automaton built from that fixpoint is the maximally
+permissive solution.
 
 Representation: members are fixed-width bit masks over a deterministic
 pair universe.  The fixpoint is driven by the family's antichain of
@@ -28,7 +29,10 @@ member enumeration in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
+# perfbench/tracer.py wraps names by getattr on this module (e.g.
+# ``is_admissible``, unused here), so every imported name stays bound.
 from .automata import (
     Automaton,
     is_deterministic,
@@ -44,6 +48,7 @@ from .relations import (
     RelationKind,
     _bits,
     holds,
+    initial_counterexample,
     is_admissible,
     is_cc_simulation,
     product_admissibility,
@@ -210,18 +215,6 @@ class _FamilyContext:
     def istate(self, w: int) -> bool:
         return all(w & m for m in self.istate_masks)
 
-    def member_passes(self, w: int, candidates) -> bool:
-        """Both filtering conditions for ``w`` against candidate targets."""
-        for ev in self.uc_events:
-            if not any(self.match(w, ev, t) for t in candidates):
-                return False
-        for i in self.bits(w):
-            for ev, obligations in self.backward[i].items():
-                for _z1, ob in obligations:
-                    if not any(t & ob and self.match(w, ev, t) for t in candidates):
-                        return False
-        return True
-
     def obligations(self, w: int, ev: str) -> set[int]:
         """Forward-obligation masks of ``w``'s pairs under ``ev``.
 
@@ -252,21 +245,6 @@ def pairs_universe(g: Automaton, r: Automaton) -> tuple[Pair, ...]:
     return tuple(_universe_refinement(g, r).alive)
 
 
-def f_step(e: PairSetFamily, g: Automaton, r: Automaton) -> PairSetFamily:
-    """One filtering pass: keep members whose obligations ``e`` can answer.
-
-    Condition one: for every uncontrollable event there is a member
-    matching the member's moves.  Condition two: every required
-    specification move out of a member pair is answered by a plant move
-    into some member that also matches the whole member.  Targets are
-    quantified over ``e`` exactly as given.
-    """
-    ctx = _FamilyContext(g, r, e.universe)
-    members = sorted(e.members)
-    keep = [w for w in members if ctx.member_passes(w, members)]
-    return PairSetFamily(e.universe, frozenset(keep))
-
-
 def downward_closure(e: PairSetFamily) -> PairSetFamily:
     """All subsets of all members (closure under taking subsets)."""
     out: set[int] = set()
@@ -293,7 +271,7 @@ def is_controllability_family(e: PairSetFamily, g: Automaton, r: Automaton) -> b
     chain = _maximal(e.members)
     if not any(ctx.istate(w) for w in chain):
         return False
-    return all(ctx.member_passes(w, chain) for w in chain)
+    return all(_violation_children(ctx, w, chain) is None for w in chain)
 
 
 def _antichain_pass(ctx: _FamilyContext, chain: list[int]) -> list[int]:
@@ -453,11 +431,22 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class SynthesisOutcome:
+    """What ``synthesize`` found: the verdict, the fixpoint it rests on
+    and, when solvable, the supervisor and its verification report."""
+
     solvable: bool
-    family: PairSetFamily
+    fixpoint: _FamilyFixpoint
     supervisor: SupervisorAutomaton | None = None
     report: VerificationReport | None = None
-    iterations: int = 0
+
+    @cached_property
+    def family(self) -> PairSetFamily:
+        """The greatest fixpoint, materialized on first read."""
+        return self.fixpoint.materialize()
+
+    @property
+    def iterations(self) -> int:
+        return self.fixpoint.iterations
 
 
 def member_state_id(pairs) -> str:
@@ -473,15 +462,14 @@ def _initial_members(ctx: _FamilyContext, chain: list[int]) -> list[int]:
     return sorted(w for w in cand if ctx.istate(w))
 
 
-def _edge_targets(ctx: _FamilyContext, chain: list[int], w: int, ev: str) -> list[int]:
-    # Valid successors of member w under ev: nonempty closure members
-    # inside the joint successor pairs of w that match all of w's moves.
-    return _hitting_sets(chain, ctx.obligations(w, ev))
-
-
 def _hitting_sets(chain: list[int], obs) -> list[int]:
     """Nonzero submasks of the chain members that meet every mask in
-    ``obs``, inside the union of ``obs``; ascending."""
+    ``obs``, inside the union of ``obs``; ascending.
+
+    With ``obs = ctx.obligations(w, ev)`` these are the successors of
+    member ``w`` under ``ev``: closure members inside the pairs ``w``'s
+    moves reach that match all of those moves.
+    """
     post = 0
     for ob in obs:
         post |= ob
@@ -612,28 +600,24 @@ def verify_solution(s: Automaton, g: Automaton, r: Automaton) -> VerificationRep
 
     Checks admissibility and the covariant-contravariant simulation of
     the supervised system by the specification; shares nothing with the
-    family machinery.  One product walk serves both conditions: the
-    admissibility verdict is read off the product, and the simulation's
-    initial condition off the refined bit rows, so a passing check
-    names no relation.  A failing one is explained by ``is_admissible``
-    and ``holds``, exactly as by those checks on their own.
+    family machinery.  One product walk and one refinement answer both
+    conditions, passing or failing: admissibility and its counterexample
+    are read off the product, and the simulation's initial condition and
+    its counterexample off the refinement, which names states only when
+    it failed.  The counterexamples are those of ``is_admissible`` and
+    ``holds`` on their own.
     """
     require_same_alphabet(s, g)
     require_same_alphabet(g, r)
     prod = sync_product(s, g)
     kind = RelationKind.cc_simulation(r.alphabet)
-    admissible, _ = product_admissibility(prod, g)
-    rows = refine(prod, r, kind).rows
-    initial = sum(1 << r.state_index[z0] for z0 in r.initial)
-    if admissible and all(rows[prod.state_index[x0]] & initial for x0 in prod.initial):
-        return VerificationReport(admissible=True, cc_simulated=True)
-    admissible, acx = is_admissible(s, g)
-    ok, result = holds(prod, r, kind)
+    admissible, acx = product_admissibility(prod, g)
+    ccx = initial_counterexample(refine(prod, r, kind), kind)
     return VerificationReport(
         admissible=admissible,
-        cc_simulated=ok,
+        cc_simulated=ccx is None,
         admissibility_counterexample=acx,
-        cc_counterexample=None if ok else result,
+        cc_counterexample=ccx,
     )
 
 
@@ -642,15 +626,16 @@ def synthesize(g: Automaton, r: Automaton, cap: int | None = None) -> SynthesisO
 
     When solvable, the supervisor built from the greatest fixpoint
     simulates every other solution's supervised behavior; the attached
-    report re-verifies it through the independent membership test.
+    report re-verifies it through the independent membership test.  The
+    outcome keeps the fixpoint's antichain; its downward closure is
+    built only when ``family`` is read.
     """
     fix = family_fixpoint(g, r, cap)
-    family = fix.materialize()
     if not fix.solvable():
-        return SynthesisOutcome(False, family, iterations=fix.iterations)
+        return SynthesisOutcome(False, fix)
     supervisor = _assemble_supervisor(fix.ctx, fix.antichain, reachable_only=True)
     report = verify_solution(supervisor.automaton, g, r)
-    return SynthesisOutcome(True, family, supervisor, report, fix.iterations)
+    return SynthesisOutcome(True, fix, supervisor, report)
 
 
 def deterministic_fastpath(g: Automaton, r: Automaton) -> bool | None:

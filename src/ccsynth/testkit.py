@@ -3,9 +3,10 @@
 Everything here exists to check the production algorithms from an
 independent direction: relations by exhaustive enumeration and by
 pair-by-pair refinement over named transitions, products and
-admissibility over named states, supervisors by pruning and by assembly
-over the materialized closure, instances by seeded generation that
-replays exactly.
+admissibility over named states, families by the member-by-member
+filtering step, supervisors by pruning and by assembly over the
+materialized closure, instances by seeded generation that replays
+exactly.
 """
 
 from __future__ import annotations
@@ -83,6 +84,22 @@ def brute_greatest_relation(
         if satisfies(rel):
             union |= rel
     return PairRelation(a, b, frozenset(union))
+
+
+def match_predicate(w: PairRelation, event: str, w2: PairRelation) -> bool:
+    """Does every move of a ``w`` pair under ``event`` land in ``w2``?
+
+    True iff for every (x, z) in ``w`` and every x --event--> x' there is
+    some z --event--> z' with (x', z') in ``w2``.
+    """
+    if (w.left, w.right) != (w2.left, w2.right):
+        raise UniverseMismatch("both relations must range over the same automata")
+    g, r = w.left, w.right
+    for x, z in w.pairs:
+        for x1 in g.successors(x, event):
+            if not any((x1, z1) in w2.pairs for z1 in r.successors(z, event)):
+                return False
+    return True
 
 
 @dataclass
@@ -334,6 +351,37 @@ def random_instance(spec: InstanceSpec) -> tuple[Automaton, Automaton]:
     return g, r
 
 
+def member_passes(ctx: _FamilyContext, w: int, candidates) -> bool:
+    """Both filtering conditions for member ``w`` against candidate targets.
+
+    Condition one: for every uncontrollable event some candidate matches
+    ``w``'s moves.  Condition two: every required specification move out
+    of a ``w`` pair is answered by a plant move into some candidate that
+    also matches all of ``w``'s moves.
+    """
+    for ev in ctx.uc_events:
+        if not any(ctx.match(w, ev, t) for t in candidates):
+            return False
+    for i in ctx.bits(w):
+        for ev, obligations in ctx.backward[i].items():
+            for _z1, ob in obligations:
+                if not any(t & ob and ctx.match(w, ev, t) for t in candidates):
+                    return False
+    return True
+
+
+def f_step(e: PairSetFamily, g: Automaton, r: Automaton) -> PairSetFamily:
+    """One filtering pass: keep members whose obligations ``e`` can answer.
+
+    Targets are quantified over ``e`` exactly as given, one member at a
+    time; the oracle for the antichain passes of ``family_fixpoint``.
+    """
+    ctx = _FamilyContext(g, r, e.universe)
+    members = sorted(e.members)
+    keep = [w for w in members if member_passes(ctx, w, members)]
+    return PairSetFamily(e.universe, frozenset(keep))
+
+
 def pairwise_is_controllability_family(
     e: PairSetFamily, g: Automaton, r: Automaton
 ) -> bool:
@@ -346,7 +394,7 @@ def pairwise_is_controllability_family(
     if not any(ctx.istate(w) for w in e.members):
         return False
     members = sorted(e.members)
-    return all(ctx.member_passes(w, members) for w in members)
+    return all(member_passes(ctx, w, members) for w in members)
 
 
 def submask_edge_targets(

@@ -1,9 +1,10 @@
 """Antichain-only supervisor construction against the closure-based code.
 
-``is_controllability_family``, ``_edge_targets`` and ``build_supervisor``
-work from a family's maximal members alone.  Each is compared with the
-closure-based oracle it replaced (kept in ``testkit``), and the CLI path
-is shown to build no closure and to write the library's bytes.
+``is_controllability_family``, the hitting-set edge targets and
+``build_supervisor`` work from a family's maximal members alone.  Each
+is compared with the closure-based oracle it replaced (kept in
+``testkit``), and the CLI path and library ``synthesize`` are shown to
+build no closure, the CLI writing the library's bytes.
 """
 
 import random
@@ -13,6 +14,7 @@ import pytest
 from ccsynth import (
     build_supervisor,
     downward_closure,
+    greatest_family,
     is_controllability_family,
     load_automaton,
     save_automaton,
@@ -23,7 +25,7 @@ from ccsynth import synthesis
 from ccsynth.cli import run_command
 from ccsynth.synthesis import (
     PairSetFamily,
-    _edge_targets,
+    _hitting_sets,
     _maximal,
     family_fixpoint,
 )
@@ -126,7 +128,7 @@ def test_hitting_set_targets_agree_with_submask_enumeration():
             for w in rng.sample(range(ctx.full + 1), min(ctx.full + 1, 40)):
                 for ev in g.alphabet.events:
                     expected = submask_edge_targets(ctx, chain, w, ev)
-                    assert _edge_targets(ctx, chain, w, ev) == expected
+                    assert _hitting_sets(chain, ctx.obligations(w, ev)) == expected
                     compared += 1
                     nonempty += bool(expected)
     assert compared >= 1000
@@ -171,7 +173,9 @@ def test_reachable_cli_synthesis_builds_no_closure(tmp_path, monkeypatch):
 
     monkeypatch.setattr(synthesis, "downward_closure", no_closure)
     solved = 0
+    outcomes = []
     for name, (mk_g, mk_r) in WORKED.items():
+        outcomes.append((mk_g(), mk_r(), synthesize(mk_g(), mk_r())))
         g_path, r_path = tmp_path / f"{name}G.aut", tmp_path / f"{name}R.aut"
         save_automaton(mk_g(), g_path)
         save_automaton(mk_r(), r_path)
@@ -186,6 +190,11 @@ def test_reachable_cli_synthesis_builds_no_closure(tmp_path, monkeypatch):
                     ["synthesize", str(g_path), str(r_path), "-o", str(out), "--full"]
                 )
     assert solved == 3
+    # library outcomes build the closure only once ``family`` is read
+    monkeypatch.undo()
+    for g, r, out in outcomes:
+        assert out.family.members == greatest_family(g, r).members
+    assert sum(out.solvable for _g, _r, out in outcomes) == 3
 
 
 def cli_matches_library(g, r, tmp_path, stem):

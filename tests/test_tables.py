@@ -3,8 +3,9 @@
 Supervisors and products keep only their integer successor table, and
 ``transitions`` is a view of it that must behave like the sorted tuple
 of named triples it replaces.  Assembly finds edge targets once per
-(event, obligations), and ``verify_solution`` reads its verdicts off one
-product walk; each is checked here against the code it replaced.
+set of obligations, and ``verify_solution`` takes every verdict and
+counterexample from one product walk and one refinement; each is
+checked here against the code it replaced.
 """
 
 import dataclasses
@@ -36,7 +37,8 @@ from ccsynth import (
 )
 from ccsynth import relations, synthesis
 from ccsynth.relations import product_admissibility
-from ccsynth.synthesis import _assemble_supervisor, _edge_targets, family_fixpoint
+from ccsynth.synthesis import _assemble_supervisor, _hitting_sets, family_fixpoint
+from ccsynth.testkit import named_is_admissible
 
 from helpers import random_alphabet, random_automaton
 from instances import diamond_g, diamond_r, scanner_g, scanner_r, scanner_s
@@ -205,7 +207,10 @@ def assert_assembly_matches_edge_targets(fix, sup):
     for name in aut.states:
         for ev in aut.alphabet.events:
             want = sorted(
-                (name_of[t] for t in _edge_targets(ctx, chain, mask_of[name], ev)),
+                (
+                    name_of[t]
+                    for t in _hitting_sets(chain, ctx.obligations(mask_of[name], ev))
+                ),
                 key=aut.state_index.__getitem__,
             )
             assert aut.successors(name, ev) == tuple(want), (name, ev)
@@ -239,7 +244,7 @@ def test_product_admissibility_matches_is_admissible_on_mutants():
     verdicts = Counter()
     for mutant, g, _r in small_mutants():
         got = product_admissibility(sync_product(mutant, g), g)
-        assert got == is_admissible(mutant, g)
+        assert got == named_is_admissible(mutant, g)
         verdicts[got[0]] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0
 
@@ -252,7 +257,7 @@ def test_product_admissibility_matches_is_admissible_on_random_pairs():
         s = random_automaton(alphabet, rng.randint(1, 6), 0.3, rng, prefix="y")
         g = random_automaton(alphabet, rng.randint(1, 6), 0.3, rng, prefix="x")
         got = product_admissibility(sync_product(s, g), g)
-        assert got == is_admissible(s, g)
+        assert got == named_is_admissible(s, g)
         verdicts[got[0]] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0
 
@@ -261,7 +266,8 @@ def test_product_admissibility_matches_is_admissible_on_random_pairs():
 
 
 def count_named_checks(monkeypatch) -> Counter:
-    """Calls of the named checks and relations built from now on."""
+    """Calls of the checks ``verify_solution`` may make, and relations
+    built, from now on."""
     calls = Counter()
 
     def counting(name, fn):
@@ -277,7 +283,7 @@ def count_named_checks(monkeypatch) -> Counter:
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(relations, "PairRelation", CountingRelation)
-    for name in ("is_admissible", "holds"):
+    for name in ("sync_product", "refine", "is_admissible", "holds"):
         monkeypatch.setattr(synthesis, name, counting(name, getattr(synthesis, name)))
     return calls
 
@@ -289,7 +295,7 @@ def test_passing_verification_names_no_relation(monkeypatch):
     for g, r, _fix, _reachable, sup in solvable_supervisors(pairs):
         calls.clear()
         assert verify_solution(sup.automaton, g, r).overall
-        assert calls == Counter()
+        assert calls == Counter(sync_product=1, refine=1)
         checked += 1
     assert checked >= 5
 
@@ -298,7 +304,7 @@ def test_failing_verification_keeps_the_named_counterexamples(monkeypatch):
     calls = count_named_checks(monkeypatch)
     rep = verify_solution(scanner_s(), scanner_g(), scanner_r())
     assert rep.admissible and not rep.cc_simulated
-    assert calls["is_admissible"] == calls["holds"] == 1
+    assert calls == Counter(sync_product=1, refine=1)
     cx = rep.cc_counterexample
     pinned = ("(y2,x3)", "z2", "cancel", "z4")
     assert (cx.left, cx.right, cx.event, cx.successor) == pinned
@@ -311,7 +317,7 @@ def test_failing_verification_keeps_the_named_counterexamples(monkeypatch):
             break
     else:
         raise AssertionError("no inadmissible mutant")
-    assert calls["is_admissible"] == calls["holds"] == 1
+    assert calls == Counter(sync_product=1, refine=1)
     assert rep.admissibility_counterexample == is_admissible(mutant, g)[1]
 
 
