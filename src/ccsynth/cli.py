@@ -10,6 +10,7 @@ the report to one machine-readable object of the shape
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -309,10 +310,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # ``parse_args`` keeps nothing between calls (each returns a fresh
+    # namespace, and help and errors go to the streams current at the
+    # call), so one parser serves every command of the process.
+    return build_parser()
+
+
 def run_command(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     report = _Report(args.command)

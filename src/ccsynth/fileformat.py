@@ -21,23 +21,16 @@ from .automata import Alphabet, Automaton, validate_automaton
 from .errors import ParseError
 
 
-def _tokenize(line: str) -> list[tuple[int, str]]:
-    """(1-based column, token) pairs, comment stripped."""
-    cut = line.find("#")
-    if cut >= 0:
-        line = line[:cut]
-    out = []
+def _error(lineno: int, line: str, index: int, message: str) -> ParseError:
+    """``message`` located at token ``index`` of ``line`` (1-based column)."""
     i = 0
-    while i < len(line):
-        if line[i].isspace():
+    for _ in range(index + 1):
+        while line[i].isspace():
             i += 1
-            continue
-        j = i
-        while j < len(line) and not line[j].isspace():
-            j += 1
-        out.append((i + 1, line[i:j]))
-        i = j
-    return out
+        start = i
+        while i < len(line) and not line[i].isspace():
+            i += 1
+    return ParseError(lineno, start + 1, message)
 
 
 def parse_automaton(text: str) -> Automaton:
@@ -51,54 +44,57 @@ def parse_automaton(text: str) -> Automaton:
     seen_states: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw)
+        # ``str.split()`` breaks at exactly the characters ``isspace``
+        # accepts, so ``_error`` recovers the columns it drops.
+        tokens = raw.partition("#")[0].split()
         if not tokens:
             continue
-        col0, head = tokens[0]
-        args = tokens[1:]
+        head = tokens[0]
         if head == "event":
-            if not args:
-                raise ParseError(lineno, col0, "event directive needs a name")
-            coln, name = args[0]
+            if len(tokens) < 2:
+                raise _error(lineno, raw, 0, "event directive needs a name")
+            name = tokens[1]
             if name in seen_events:
-                raise ParseError(lineno, coln, f"event {name!r} declared twice")
+                raise _error(lineno, raw, 1, f"event {name!r} declared twice")
             seen_events.add(name)
             events.append(name)
-            for colx, attr in args[1:]:
+            for i in range(2, len(tokens)):
+                attr = tokens[i]
                 if attr == "uncontrollable":
                     uncontrollable.add(name)
                 elif attr == "required":
                     required.add(name)
                 else:
-                    raise ParseError(lineno, colx, f"unknown event attribute {attr!r}")
+                    raise _error(lineno, raw, i, f"unknown event attribute {attr!r}")
         elif head == "state":
-            if not args:
-                raise ParseError(lineno, col0, "state directive needs a name")
-            coln, name = args[0]
+            if len(tokens) < 2:
+                raise _error(lineno, raw, 0, "state directive needs a name")
+            name = tokens[1]
             if name in seen_states:
-                raise ParseError(lineno, coln, f"state {name!r} declared twice")
+                raise _error(lineno, raw, 1, f"state {name!r} declared twice")
             seen_states.add(name)
             states.append(name)
-            for colx, attr in args[1:]:
+            for i in range(2, len(tokens)):
+                attr = tokens[i]
                 if attr == "initial":
                     initial.append(name)
                 else:
-                    raise ParseError(lineno, colx, f"unknown state attribute {attr!r}")
+                    raise _error(lineno, raw, i, f"unknown state attribute {attr!r}")
         elif head == "trans":
-            if len(args) != 3:
-                raise ParseError(
-                    lineno, col0, "trans directive needs source, event and target"
+            if len(tokens) != 4:
+                raise _error(
+                    lineno, raw, 0, "trans directive needs source, event and target"
                 )
-            (csrc, src), (cev, ev), (cdst, dst) = args
+            _, src, ev, dst = tokens
             if src not in seen_states:
-                raise ParseError(lineno, csrc, f"unknown state {src!r}")
+                raise _error(lineno, raw, 1, f"unknown state {src!r}")
             if ev not in seen_events:
-                raise ParseError(lineno, cev, f"unknown event {ev!r}")
+                raise _error(lineno, raw, 2, f"unknown event {ev!r}")
             if dst not in seen_states:
-                raise ParseError(lineno, cdst, f"unknown state {dst!r}")
+                raise _error(lineno, raw, 3, f"unknown state {dst!r}")
             transitions.append((src, ev, dst))
         else:
-            raise ParseError(lineno, col0, f"unknown directive {head!r}")
+            raise _error(lineno, raw, 0, f"unknown directive {head!r}")
 
     last = text.count("\n") + 1
     if not initial:

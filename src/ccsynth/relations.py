@@ -28,16 +28,15 @@ states per left state, so a clause test is a mask operation instead of
 a loop over successor pairs (the bit-parallel idea of Henzinger,
 Henzinger & Kopke, FOCS 1995, with the pair-by-pair deletion order
 kept).  Each deletion is logged as a tuple of integers; state names,
-``_Deletion`` records and their candidate pairs are built only when a
-counterexample asks for them, so a check that holds names nothing.
+``_Deletion`` records and their candidate pairs are built only for the
+pairs a counterexample looks up, so a check that holds names nothing.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Set
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
-from functools import cached_property
 
 from .automata import Automaton, require_same_alphabet, sync_product
 from .errors import CapExceeded, UniverseMismatch
@@ -234,10 +233,8 @@ class AlivePairs(Set):
         self._res = res
 
     def __contains__(self, pair) -> bool:
-        x, z = pair
-        xi = self._res.left.state_index.get(x)
-        zi = self._res.right.state_index.get(z)
-        return xi is not None and zi is not None and bool(self._res.rows[xi] >> zi & 1)
+        ij = self._res._indices(pair)
+        return ij is not None and bool(self._res.rows[ij[0]] >> ij[1] & 1)
 
     def __len__(self) -> int:
         return sum(row.bit_count() for row in self._res.rows)
@@ -249,14 +246,73 @@ class AlivePairs(Set):
                 yield xs[xi], zs[zi]
 
 
+class DeletionReasons(Mapping):
+    """Named, read-only view of a refinement's deletion log.
+
+    Maps each deleted pair to its ``_Deletion`` record, in deletion
+    order.  A record, with its state names and candidate witnesses, is
+    built only when its pair is looked up, and then kept; size and
+    membership name nothing.
+    """
+
+    def __init__(self, res: "RefineResult"):
+        self._res = res
+        self._named: dict[int, _Deletion] = {}
+        self._time: dict[int, int] | None = None
+
+    def _log_time(self, pair) -> int | None:
+        ij = self._res._indices(pair)
+        if ij is None:
+            return None
+        if self._time is None:
+            self._time = {entry[0]: t for t, entry in enumerate(self._res._log)}
+        return self._time.get(ij[0] * self._res.right.n_states + ij[1])
+
+    def __contains__(self, pair) -> bool:
+        return self._log_time(pair) is not None
+
+    def __getitem__(self, pair) -> _Deletion:
+        time = self._log_time(pair)
+        if time is None:
+            raise KeyError(pair)
+        d = self._named.get(time)
+        if d is None:
+            d = self._named[time] = self._name(time)
+        return d
+
+    def _name(self, time: int) -> _Deletion:
+        """The record of log entry ``time``."""
+        a, b = self._res.left, self._res.right
+        xs, zs = a.states, b.states
+        pid, clause, k, succ = self._res._log[time]
+        xi, zi = divmod(pid, b.n_states)
+        if clause == FORWARD:
+            cands = tuple((xs[succ], zs[z1]) for z1 in b.successor_table[k][zi])
+            name = xs[succ]
+        else:
+            cands = tuple((xs[x1], zs[succ]) for x1 in a.successor_table[k][xi])
+            name = zs[succ]
+        return _Deletion(clause, a.alphabet.events[k], name, time, cands)
+
+    def __len__(self) -> int:
+        return len(self._res._log)
+
+    def __iter__(self):
+        res = self._res
+        xs, zs, nb = res.left.states, res.right.states, res.right.n_states
+        for pid, *_ in res._log:
+            xi, zi = divmod(pid, nb)
+            yield xs[xi], zs[zi]
+
+
 class RefineResult:
     """Greatest relation for a kind's clauses, with its deletion log.
 
     ``rows[x]`` is the bit mask of right states still related to left
     state ``x``.  Each deletion is logged as integers, in deletion order,
     as (pair code ``x * |right| + z``, clause, event index, successor
-    index); ``reasons`` names them, with their candidate witnesses, only
-    when first read.
+    index); ``reasons`` names a deletion, with its candidate witnesses,
+    only when its pair is looked up.
     """
 
     def __init__(self, left: Automaton, right: Automaton, rows: list[int], log: list):
@@ -265,25 +321,16 @@ class RefineResult:
         self._log = log
         self.deletions = len(log)
         self.alive = AlivePairs(self)
+        self.reasons = DeletionReasons(self)
 
-    @cached_property
-    def reasons(self) -> dict[tuple[str, str], _Deletion]:
-        a, b = self.left, self.right
-        xs, zs, nb = a.states, b.states, b.n_states
-        sa, sb = a.successor_table, b.successor_table
-        out: dict[tuple[str, str], _Deletion] = {}
-        for time, (pid, clause, k, succ) in enumerate(self._log):
-            xi, zi = divmod(pid, nb)
-            if clause == FORWARD:
-                cands = tuple((xs[succ], zs[z1]) for z1 in sb[k][zi])
-                name = xs[succ]
-            else:
-                cands = tuple((xs[x1], zs[succ]) for x1 in sa[k][xi])
-                name = zs[succ]
-            out[(xs[xi], zs[zi])] = _Deletion(
-                clause, a.alphabet.events[k], name, time, cands
-            )
-        return out
+    def _indices(self, pair) -> tuple[int, int] | None:
+        """State indices of a named pair; None for anything else."""
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            return None
+        try:
+            return self.left.state_index[pair[0]], self.right.state_index[pair[1]]
+        except (KeyError, TypeError):
+            return None
 
     def relation(self) -> PairRelation:
         return PairRelation(self.left, self.right, frozenset(self.alive))

@@ -5,8 +5,8 @@ independent direction: relations by exhaustive enumeration and by
 pair-by-pair refinement over named transitions, products and
 admissibility over named states, families by the member-by-member
 filtering step, supervisors by pruning and by assembly over the
-materialized closure, instances by seeded generation that replays
-exactly.
+materialized closure, file parsing by the character-by-character
+tokenizer, instances by seeded generation that replays exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .automata import (
     require_same_alphabet,
     validate_automaton,
 )
-from .errors import CapExceeded, NotAFamily, UniverseMismatch
+from .errors import CapExceeded, NotAFamily, ParseError, UniverseMismatch
 from .relations import (
     ADMISSIBILITY,
     BACKWARD,
@@ -279,6 +279,101 @@ def named_is_admissible(
                         seen.add((y1, x1))
                         queue.append((y1, x1))
     return True, None
+
+
+def _reference_tokenize(line: str) -> list[tuple[int, str]]:
+    """(1-based column, token) pairs, comment stripped."""
+    cut = line.find("#")
+    if cut >= 0:
+        line = line[:cut]
+    out = []
+    i = 0
+    while i < len(line):
+        if line[i].isspace():
+            i += 1
+            continue
+        j = i
+        while j < len(line) and not line[j].isspace():
+            j += 1
+        out.append((i + 1, line[i:j]))
+        i = j
+    return out
+
+
+def reference_parse_automaton(text: str) -> Automaton:
+    """``parse_automaton`` with its former character-by-character
+    tokenizer, which keeps every token's column; oracle for the
+    split-based parser."""
+    events: list[str] = []
+    uncontrollable: set[str] = set()
+    required: set[str] = set()
+    states: list[str] = []
+    initial: list[str] = []
+    transitions: list[tuple[str, str, str]] = []
+    seen_events: set[str] = set()
+    seen_states: set[str] = set()
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = _reference_tokenize(raw)
+        if not tokens:
+            continue
+        col0, head = tokens[0]
+        args = tokens[1:]
+        if head == "event":
+            if not args:
+                raise ParseError(lineno, col0, "event directive needs a name")
+            coln, name = args[0]
+            if name in seen_events:
+                raise ParseError(lineno, coln, f"event {name!r} declared twice")
+            seen_events.add(name)
+            events.append(name)
+            for colx, attr in args[1:]:
+                if attr == "uncontrollable":
+                    uncontrollable.add(name)
+                elif attr == "required":
+                    required.add(name)
+                else:
+                    raise ParseError(lineno, colx, f"unknown event attribute {attr!r}")
+        elif head == "state":
+            if not args:
+                raise ParseError(lineno, col0, "state directive needs a name")
+            coln, name = args[0]
+            if name in seen_states:
+                raise ParseError(lineno, coln, f"state {name!r} declared twice")
+            seen_states.add(name)
+            states.append(name)
+            for colx, attr in args[1:]:
+                if attr == "initial":
+                    initial.append(name)
+                else:
+                    raise ParseError(lineno, colx, f"unknown state attribute {attr!r}")
+        elif head == "trans":
+            if len(args) != 3:
+                raise ParseError(
+                    lineno, col0, "trans directive needs source, event and target"
+                )
+            (csrc, src), (cev, ev), (cdst, dst) = args
+            if src not in seen_states:
+                raise ParseError(lineno, csrc, f"unknown state {src!r}")
+            if ev not in seen_events:
+                raise ParseError(lineno, cev, f"unknown event {ev!r}")
+            if dst not in seen_states:
+                raise ParseError(lineno, cdst, f"unknown state {dst!r}")
+            transitions.append((src, ev, dst))
+        else:
+            raise ParseError(lineno, col0, f"unknown directive {head!r}")
+
+    last = text.count("\n") + 1
+    if not initial:
+        raise ParseError(last, 1, "no initial state declared")
+    a = Automaton(
+        alphabet=Alphabet(tuple(events), frozenset(uncontrollable), frozenset(required)),
+        states=tuple(states),
+        transitions=tuple(transitions),
+        initial=tuple(initial),
+    )
+    validate_automaton(a)
+    return a
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from ccsynth import save_automaton
+from ccsynth import cli, save_automaton
 from ccsynth.cli import run_command
 
 from instances import (
@@ -185,3 +186,56 @@ def test_random_output_parses_and_feeds_solvable(tmp_path):
          "--out-g", g_path, "--out-r", r_path]
     )
     assert run_command(["solvable", g_path, r_path]) in (0, 1)
+
+
+def test_one_parser_serves_every_command(files, monkeypatch, capsys):
+    out = files["tmp"] / "out.aut"
+    commands = [
+        ["synthesize", files["dG"], files["dR"], "-o", str(out), "--full"],
+        ["synthesize", files["dG"], files["dR"], "-o", str(out)],
+        ["check", "--kind", "sim", files["G"], files["R"]],
+        ["check", "--kind", "ccsim", files["G"], files["R"]],
+        ["solvable", files["G"], files["R"], "--json"],
+        ["solvable", files["G"], files["R"]],
+        ["synthesize", files["dG"], files["dR"]],
+        ["--help"],
+        ["synthesize", files["dG"], files["dR"], "-o", str(out), "--full", "--json"],
+        ["check", "--kind", "bogus", files["G"], files["R"]],
+        ["check", "--help"],
+        ["synthesize", files["dG"], files["dR"], "-o", str(out)],
+        ["check", "--kind", "sim", files["G"], files["R"]],
+    ]
+
+    def run_all():
+        seen = []
+        for argv in commands:
+            code = run_command(argv)
+            std = capsys.readouterr()
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            stdout = re.sub(r'"millis": [0-9.e-]+', '"millis": _', std.out)
+            seen.append((code, stdout, std.err, written))
+        return seen
+
+    built = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", counting_build_parser)
+        reused = run_all()
+    cli._parser.cache_clear()
+    assert len(built) == 1
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", build_parser)
+        fresh = run_all()
+    assert reused == fresh
+    assert [code for code, *_ in fresh] == [0, 0, 0, 1, 1, 1, 2, 0, 0, 2, 0, 0, 0]
+    # --full keeps unreachable supervisor states; a leaked flag would
+    # make the plain run write the same file.
+    assert fresh[0][3] != fresh[1][3] == fresh[11][3]

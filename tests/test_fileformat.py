@@ -2,10 +2,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccsynth import ParseError, export_dot, parse_automaton, serialize_automaton
-from ccsynth.testkit import InstanceSpec, random_instance
+from ccsynth import (
+    ParseError,
+    export_dot,
+    parse_automaton,
+    serialize_automaton,
+    sync_product,
+)
+from ccsynth.testkit import InstanceSpec, random_instance, reference_parse_automaton
 
-from instances import diamond_g, scanner_g, scanner_r, scanner_s
+from instances import (
+    diamond_g,
+    diamond_r,
+    forked_g,
+    forked_r,
+    ladder_g,
+    ladder_r,
+    scanner_g,
+    scanner_r,
+    scanner_s,
+)
 
 SCANNER_FILE = """\
 # check-out scanner plant
@@ -38,11 +54,26 @@ def test_parse_scanner_file_matches_builder():
 
 
 def test_roundtrip_is_canonical_fixed_point():
-    for a in (scanner_g(), scanner_r(), scanner_s(), diamond_g()):
+    worked = [
+        scanner_g(),
+        scanner_r(),
+        scanner_s(),
+        scanner_g(()),
+        scanner_r(()),
+        diamond_g(),
+        diamond_r(),
+        ladder_g(),
+        ladder_r(),
+        forked_g(),
+        forked_r(),
+        sync_product(scanner_s(), scanner_g()),
+    ]
+    for a in worked:
         text = serialize_automaton(a)
-        again = parse_automaton(text)
-        assert again == a
-        assert serialize_automaton(again) == text
+        for parse in (parse_automaton, reference_parse_automaton):
+            again = parse(text)
+            assert again == a
+            assert serialize_automaton(again) == text
 
 
 def test_serialize_orders_are_deterministic():
@@ -79,6 +110,115 @@ def test_roundtrip_on_generated_instances(seed, deterministic):
     )
     for a in (g, r):
         assert parse_automaton(serialize_automaton(a)) == a
+
+
+# --- split-based tokenizing against the character tokenizer ----------------
+
+EVENT_NAMES = ("a", "b", "go")
+STATE_NAMES = ("s", "t", "x0")
+WORDS = (
+    EVENT_NAMES
+    + STATE_NAMES
+    + ("event", "state", "trans", "initial", "required", "uncontrollable")
+    + ("flip", "a#b", "#", "\u00e9")
+)
+# Characters ``isspace`` accepts inside one line, and two that also end
+# a line for ``splitlines``.
+INLINE_SPACE = (" ", "\t", "\u00a0", "\u2003", "\u3000", "\x1f")
+BREAKING_SPACE = ("\x0b", "\x0c")
+
+
+@st.composite
+def automaton_texts(draw):
+    """Automaton files: declarations and transitions, mostly valid, plus
+    junk lines, odd whitespace, comments and CRLF."""
+    spaces = INLINE_SPACE + (BREAKING_SPACE if draw(st.booleans()) else ())
+    run = st.text(st.sampled_from(spaces), min_size=1, max_size=3)
+    gap = st.one_of(st.just(" "), run)
+    edge = st.text(st.sampled_from(spaces), max_size=2)
+    comment = st.sampled_from(("", "#", "# note", "#trans s a s", " #\tstate"))
+
+    events = draw(st.lists(st.sampled_from(EVENT_NAMES), min_size=1, unique=True))
+    states = draw(st.lists(st.sampled_from(STATE_NAMES), min_size=1, unique=True))
+    attrs = st.lists(st.sampled_from(("uncontrollable", "required")), unique=True)
+    lines = [["event", ev, *draw(attrs)] for ev in events]
+    lines += [["state", s] + ["initial"] * draw(st.booleans()) for s in states]
+    for _ in range(draw(st.integers(0, 4))):
+        src, ev, dst = (draw(st.sampled_from(n)) for n in (states, events, states))
+        lines.append(["trans", src, ev, dst])
+    # Junk: a copy of some line, blanked or with one token dropped,
+    # inserted or replaced, placed anywhere.
+    valid = list(lines)
+    for _ in range(draw(st.integers(0, 2))):
+        junk = list(draw(st.sampled_from(valid)))
+        i = draw(st.integers(0, len(junk) - 1))
+        edit = draw(st.sampled_from(("copy", "blank", "drop", "insert", "replace")))
+        if edit == "blank":
+            junk = []
+        elif edit == "drop":
+            del junk[i]
+        elif edit == "insert":
+            junk.insert(i, draw(st.sampled_from(WORDS)))
+        elif edit == "replace":
+            junk[i] = draw(st.sampled_from(WORDS))
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+
+    rendered = []
+    for tokens in lines:
+        text = draw(edge)
+        for i, token in enumerate(tokens):
+            text += (draw(gap) if i else "") + token
+        rendered.append(text + draw(edge) + draw(comment))
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    return newline.join(rendered) + draw(st.sampled_from(("", newline)))
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return (exc.line, exc.col, exc.message)
+
+
+def assert_same_parse(text):
+    got = parse_outcome(parse_automaton, text)
+    want = parse_outcome(reference_parse_automaton, text)
+    assert got == want
+    if not isinstance(want, tuple):
+        assert serialize_automaton(got) == serialize_automaton(want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(automaton_texts())
+def test_split_tokenizer_matches_character_tokenizer(text):
+    assert_same_parse(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        SCANNER_FILE,
+        SCANNER_FILE.replace("\n", "\r\n").replace(" ", "\u3000\t"),
+        "event\u00a0a\x0bstate\x0cs initial\ntrans s a s # loop\n",
+        "\u2003flip s\n",
+        "event a\n  event  # nothing named\n",
+        "event a\nstate\t\n",
+        "event a\nstate s initial\ntrans s a\n",
+        "event a\nstate s initial\ntrans s a s s\n",
+        "event a\nstate s initial\ntrans s\u00a0a\u3000t\n",
+        "event a\nstate s initial\ntrans  s  b  s\n",
+        "event a\nstate s initial\ntrans t a s\n",
+        "event a sometimes\n",
+        "event a\nstate s\u2003final\n",
+        "event a\r\nevent  a\r\n",
+        "event a\nstate s initial\n\tstate s\n",
+        "event a\nstate s\n",
+        "event a\nstate s\n# initial\n",
+        "",
+    ],
+)
+def test_split_tokenizer_matches_on_every_error_kind(text):
+    assert_same_parse(text)
 
 
 # --- parse errors ----------------------------------------------------------

@@ -6,8 +6,10 @@ keeps canonical transitions without sorting them again.  Each is compared
 with the named, pair-by-pair oracle kept in ``testkit``.
 """
 
+import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,12 +20,14 @@ from ccsynth import (
     RelationKind,
     holds,
     is_admissible,
+    save_automaton,
     sync_product,
     synthesize,
     validate_automaton,
     verify_solution,
 )
 from ccsynth import relations
+from ccsynth.cli import run_command
 from ccsynth.synthesis import (
     _assemble_supervisor,
     family_fixpoint,
@@ -65,6 +69,7 @@ def assert_same_refinement(a, b, kind):
     assert len(got.alive) == len(want.alive)
     assert got.deletions == want.deletions
     assert got.reasons.keys() == want.reasons.keys()
+    assert list(got.reasons) == list(want.reasons)
     for pair, d in want.reasons.items():
         e = got.reasons[pair]
         assert (e.clause, e.event, e.successor, e.time, e.candidates) == (
@@ -247,10 +252,12 @@ def test_canonical_input_is_kept_as_given():
 
 class _CountingDeletion(relations._Deletion):
     built = 0
+    times: list[int] = []
 
     def __init__(self, *args, **kwargs):
         type(self).built += 1
         super().__init__(*args, **kwargs)
+        type(self).times.append(self.time)
 
 
 def test_nothing_is_named_on_success(monkeypatch):
@@ -287,3 +294,77 @@ def test_alive_view_supports_len_membership_and_index_order():
     gi, ri = g.state_index, r.state_index
     assert pairs == sorted(pairs, key=lambda p: (gi[p[0]], ri[p[1]]))
     assert isinstance(res.deletions, int)
+
+
+SCANNER_UNSOLVABLE = {
+    "kind": "backward",
+    "left": "x3",
+    "right": "z2",
+    "event": "cancel",
+    "successor": "z4",
+    "chain": [
+        {"left": "x0", "right": "z0", "clause": "forward", "event": "start",
+         "successor": "x1"},
+        {"left": "x1", "right": "z1", "clause": "forward", "event": "scan",
+         "successor": "x3"},
+        {"left": "x3", "right": "z2", "clause": "backward", "event": "cancel",
+         "successor": "z4"},
+    ],
+    "note": "no admissible pairing for initial state x0",
+    "message": "backward clause fails at (x3, z2): z2 --cancel--> z4 is required "
+    "but x3 cannot match it [no admissible pairing for initial state x0]",
+}
+
+
+def test_unsolvable_verdict_names_only_the_pairs_it_reads(
+    tmp_path, monkeypatch, capsys
+):
+    g, r = scanner_g(), scanner_r()
+    save_automaton(g, tmp_path / "G.aut")
+    save_automaton(r, tmp_path / "R.aut")
+    monkeypatch.setattr(relations, "_Deletion", _CountingDeletion)
+    _CountingDeletion.built, _CountingDeletion.times = 0, []
+    argv = ["solvable", str(tmp_path / "G.aut"), str(tmp_path / "R.aut"), "--json"]
+    assert run_command(argv) == 1
+    assert json.loads(capsys.readouterr().out)["counterexample"] == SCANNER_UNSOLVABLE
+
+    # Read: the initial pairings, each step of the cascade and the
+    # candidates its earliest-death choice compares.
+    want = pairwise_refine(g, r, universe_kind(g.alphabet))
+    read = {(x0, z0) for x0 in g.initial for z0 in r.initial}
+    for step in SCANNER_UNSOLVABLE["chain"]:
+        read |= set(want.reasons[(step["left"], step["right"])].candidates)
+    assert sorted(_CountingDeletion.times) == sorted(want.reasons[p].time for p in read)
+    assert _CountingDeletion.built == len(read) < want.deletions
+
+
+NAMES = ("x0", "x1", "x2", "z0", "z1", "z2", "nowhere", None, 0, ())
+name_probe = st.sampled_from(NAMES)
+probes = st.one_of(
+    name_probe,
+    st.tuples(name_probe),
+    st.tuples(name_probe, name_probe),
+    st.tuples(name_probe, name_probe, name_probe),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.lists(probes, max_size=30))
+def test_views_answer_like_frozen_copies(seed, drawn):
+    g, r = random_instance(InstanceSpec(3, 3, 2, density=0.4, seed=seed))
+    for kind in kinds_for(g.alphabet):
+        res = relations.refine(g, r, kind)
+        frozen = relations.refine(g, r, kind)
+        alive, reasons = frozenset(frozen.alive), dict(frozen.reasons)
+        malformed = [("x0",), None, ("x0", "z0", "z0")]
+        for probe in drawn + list(alive) + list(reasons) + malformed:
+            assert (probe in res.alive) == (probe in alive), probe
+            assert (probe in res.reasons) == (probe in reasons), probe
+            if probe in reasons:
+                assert res.reasons[probe] == reasons[probe]
+            else:
+                with pytest.raises(KeyError):
+                    res.reasons[probe]
+        assert len(res.reasons) == len(reasons) == res.deletions
+        assert list(res.reasons) == list(reasons)
+        assert res.reasons == reasons and reasons == res.reasons
