@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import islice
 from pathlib import Path
 
-from .automata import Alphabet, Automaton, validate_automaton
+from .automata import Alphabet, Automaton
 from .errors import ParseError
 
 
@@ -34,14 +34,22 @@ def _error(lineno: int, line: str, index: int, message: str) -> ParseError:
 
 
 def parse_automaton(text: str) -> Automaton:
+    """Read one automaton, mapping names to indices as lines are read.
+
+    ``trans`` lines fill the successor table directly, so the result is
+    built by ``Automaton.from_table`` with no named transition stored;
+    each entry is sorted and its duplicates dropped, as the named
+    constructor would.
+    """
     events: list[str] = []
     uncontrollable: set[str] = set()
     required: set[str] = set()
     states: list[str] = []
     initial: list[str] = []
-    transitions: list[tuple[str, str, str]] = []
-    seen_events: set[str] = set()
-    seen_states: set[str] = set()
+    event_index: dict[str, int] = {}
+    state_index: dict[str, int] = {}
+    # table[event][state]: target indices in file order
+    table: list[list[list[int]]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         # ``str.split()`` breaks at exactly the characters ``isspace``
@@ -50,14 +58,31 @@ def parse_automaton(text: str) -> Automaton:
         if not tokens:
             continue
         head = tokens[0]
-        if head == "event":
+        if head == "trans":
+            if len(tokens) != 4:
+                raise _error(
+                    lineno, raw, 0, "trans directive needs source, event and target"
+                )
+            _, src, ev, dst = tokens
+            si = state_index.get(src)
+            if si is None:
+                raise _error(lineno, raw, 1, f"unknown state {src!r}")
+            k = event_index.get(ev)
+            if k is None:
+                raise _error(lineno, raw, 2, f"unknown event {ev!r}")
+            di = state_index.get(dst)
+            if di is None:
+                raise _error(lineno, raw, 3, f"unknown state {dst!r}")
+            table[k][si].append(di)
+        elif head == "event":
             if len(tokens) < 2:
                 raise _error(lineno, raw, 0, "event directive needs a name")
             name = tokens[1]
-            if name in seen_events:
+            if name in event_index:
                 raise _error(lineno, raw, 1, f"event {name!r} declared twice")
-            seen_events.add(name)
+            event_index[name] = len(events)
             events.append(name)
+            table.append([[] for _ in states])
             for i in range(2, len(tokens)):
                 attr = tokens[i]
                 if attr == "uncontrollable":
@@ -70,43 +95,33 @@ def parse_automaton(text: str) -> Automaton:
             if len(tokens) < 2:
                 raise _error(lineno, raw, 0, "state directive needs a name")
             name = tokens[1]
-            if name in seen_states:
+            if name in state_index:
                 raise _error(lineno, raw, 1, f"state {name!r} declared twice")
-            seen_states.add(name)
+            state_index[name] = len(states)
             states.append(name)
+            for row in table:
+                row.append([])
             for i in range(2, len(tokens)):
                 attr = tokens[i]
                 if attr == "initial":
                     initial.append(name)
                 else:
                     raise _error(lineno, raw, i, f"unknown state attribute {attr!r}")
-        elif head == "trans":
-            if len(tokens) != 4:
-                raise _error(
-                    lineno, raw, 0, "trans directive needs source, event and target"
-                )
-            _, src, ev, dst = tokens
-            if src not in seen_states:
-                raise _error(lineno, raw, 1, f"unknown state {src!r}")
-            if ev not in seen_events:
-                raise _error(lineno, raw, 2, f"unknown event {ev!r}")
-            if dst not in seen_states:
-                raise _error(lineno, raw, 3, f"unknown state {dst!r}")
-            transitions.append((src, ev, dst))
         else:
             raise _error(lineno, raw, 0, f"unknown directive {head!r}")
 
     last = text.count("\n") + 1
     if not initial:
         raise ParseError(last, 1, "no initial state declared")
-    a = Automaton(
-        alphabet=Alphabet(tuple(events), frozenset(uncontrollable), frozenset(required)),
-        states=tuple(states),
-        transitions=tuple(transitions),
-        initial=tuple(initial),
+    return Automaton.from_table(
+        Alphabet(tuple(events), frozenset(uncontrollable), frozenset(required)),
+        states,
+        [
+            [tuple(sorted(set(ts))) if len(ts) > 1 else tuple(ts) for ts in row]
+            for row in table
+        ],
+        initial,
     )
-    validate_automaton(a)
-    return a
 
 
 # Lines joined per write in ``save_automaton``: few enough to keep the

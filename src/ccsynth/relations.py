@@ -222,26 +222,38 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _pair_indices(left: Automaton, right: Automaton, pair) -> tuple[int, int] | None:
+    """State indices of a named pair; None for anything else."""
+    if not isinstance(pair, tuple) or len(pair) != 2:
+        return None
+    try:
+        return left.state_index[pair[0]], right.state_index[pair[1]]
+    except (KeyError, TypeError):
+        return None
+
+
 class AlivePairs(Set):
     """Named, read-only view of the pairs a refinement kept.
 
     Membership and size read the bit rows directly; iteration names the
-    pairs in (left index, right index) order.
+    pairs in (left index, right index) order.  The view holds the
+    automata and the rows, not the refinement, so it keeps no cycle
+    alive.
     """
 
-    def __init__(self, res: "RefineResult"):
-        self._res = res
+    def __init__(self, left: Automaton, right: Automaton, rows: list[int]):
+        self._left, self._right, self._rows = left, right, rows
 
     def __contains__(self, pair) -> bool:
-        ij = self._res._indices(pair)
-        return ij is not None and bool(self._res.rows[ij[0]] >> ij[1] & 1)
+        ij = _pair_indices(self._left, self._right, pair)
+        return ij is not None and bool(self._rows[ij[0]] >> ij[1] & 1)
 
     def __len__(self) -> int:
-        return sum(row.bit_count() for row in self._res.rows)
+        return sum(row.bit_count() for row in self._rows)
 
     def __iter__(self):
-        xs, zs = self._res.left.states, self._res.right.states
-        for xi, row in enumerate(self._res.rows):
+        xs, zs = self._left.states, self._right.states
+        for xi, row in enumerate(self._rows):
             for zi in _bits(row):
                 yield xs[xi], zs[zi]
 
@@ -252,21 +264,22 @@ class DeletionReasons(Mapping):
     Maps each deleted pair to its ``_Deletion`` record, in deletion
     order.  A record, with its state names and candidate witnesses, is
     built only when its pair is looked up, and then kept; size and
-    membership name nothing.
+    membership name nothing.  Like ``AlivePairs``, it holds the log,
+    not the refinement.
     """
 
-    def __init__(self, res: "RefineResult"):
-        self._res = res
+    def __init__(self, left: Automaton, right: Automaton, log: list):
+        self._left, self._right, self._log = left, right, log
         self._named: dict[int, _Deletion] = {}
         self._time: dict[int, int] | None = None
 
     def _log_time(self, pair) -> int | None:
-        ij = self._res._indices(pair)
+        ij = _pair_indices(self._left, self._right, pair)
         if ij is None:
             return None
         if self._time is None:
-            self._time = {entry[0]: t for t, entry in enumerate(self._res._log)}
-        return self._time.get(ij[0] * self._res.right.n_states + ij[1])
+            self._time = {entry[0]: t for t, entry in enumerate(self._log)}
+        return self._time.get(ij[0] * self._right.n_states + ij[1])
 
     def __contains__(self, pair) -> bool:
         return self._log_time(pair) is not None
@@ -282,9 +295,9 @@ class DeletionReasons(Mapping):
 
     def _name(self, time: int) -> _Deletion:
         """The record of log entry ``time``."""
-        a, b = self._res.left, self._res.right
+        a, b = self._left, self._right
         xs, zs = a.states, b.states
-        pid, clause, k, succ = self._res._log[time]
+        pid, clause, k, succ = self._log[time]
         xi, zi = divmod(pid, b.n_states)
         if clause == FORWARD:
             cands = tuple((xs[succ], zs[z1]) for z1 in b.successor_table[k][zi])
@@ -295,12 +308,11 @@ class DeletionReasons(Mapping):
         return _Deletion(clause, a.alphabet.events[k], name, time, cands)
 
     def __len__(self) -> int:
-        return len(self._res._log)
+        return len(self._log)
 
     def __iter__(self):
-        res = self._res
-        xs, zs, nb = res.left.states, res.right.states, res.right.n_states
-        for pid, *_ in res._log:
+        xs, zs, nb = self._left.states, self._right.states, self._right.n_states
+        for pid, *_ in self._log:
             xi, zi = divmod(pid, nb)
             yield xs[xi], zs[zi]
 
@@ -320,17 +332,8 @@ class RefineResult:
         self.rows = rows
         self._log = log
         self.deletions = len(log)
-        self.alive = AlivePairs(self)
-        self.reasons = DeletionReasons(self)
-
-    def _indices(self, pair) -> tuple[int, int] | None:
-        """State indices of a named pair; None for anything else."""
-        if not isinstance(pair, tuple) or len(pair) != 2:
-            return None
-        try:
-            return self.left.state_index[pair[0]], self.right.state_index[pair[1]]
-        except (KeyError, TypeError):
-            return None
+        self.alive = AlivePairs(left, right, rows)
+        self.reasons = DeletionReasons(left, right, log)
 
     def relation(self) -> PairRelation:
         return PairRelation(self.left, self.right, frozenset(self.alive))
@@ -370,10 +373,12 @@ def refine(a: Automaton, b: Automaton, kind: RelationKind) -> RefineResult:
     The relation is held as one bit row of right states per left state,
     so the forward clause for a move x --e--> x1 is one ``&`` of x1's row
     with z's successor mask, and the backward clause tests z's
-    successors against the OR of the rows of x's successors.  Pairs are
-    checked, deleted and re-queued in the same order as a pair-by-pair
-    scan, so deletion times, clauses and counterexamples do not depend
-    on the representation.
+    successors against the OR of the rows of x's successors.  A deletion
+    re-queues one chunk per predecessor row, a left state with a mask of
+    right states, whose bits are then checked in ascending order.  Pairs
+    are checked, deleted and re-queued in the same order as a
+    pair-by-pair scan, so deletion times, clauses and counterexamples do
+    not depend on the representation.
     """
     require_same_alphabet(a, b)
     events = a.alphabet.events
@@ -402,19 +407,23 @@ def refine(a: Automaton, b: Automaton, kind: RelationKind) -> RefineResult:
     rows = [(1 << nb) - 1] * na
     queued = [0] * na
     log: list[tuple[int, str, int, int]] = []
-    queue: deque[int] = deque()
+    queue: deque[tuple[int, int]] = deque()
+    push = queue.append
+    fwd_tables = [(k, succ_a[k], succ_mask_b[k]) for k in fwd]
+    bwd_tables = [(k, succ_a[k], succ_mask_b[k]) for k in bwd]
+    pred_tables = [(pred_a[k], pred_mask_b[k]) for k in deps]
 
     def check(xi: int, zi: int):
-        for k in fwd:
-            zs = succ_mask_b[k][zi]
-            for x1 in succ_a[k][xi]:
+        for k, sa, smb in fwd_tables:
+            zs = smb[zi]
+            for x1 in sa[xi]:
                 if not rows[x1] & zs:
                     return FORWARD, k, x1
-        for k in bwd:
-            zs = succ_mask_b[k][zi]
+        for k, sa, smb in bwd_tables:
+            zs = smb[zi]
             if zs:
                 covered = 0
-                for x1 in succ_a[k][xi]:
+                for x1 in sa[xi]:
                     covered |= rows[x1]
                 missing = zs & ~covered
                 if missing:
@@ -424,29 +433,37 @@ def refine(a: Automaton, b: Automaton, kind: RelationKind) -> RefineResult:
     def kill(xi: int, zi: int, hit) -> None:
         rows[xi] &= ~(1 << zi)
         log.append((xi * nb + zi, *hit))
-        for k in deps:
-            pz = pred_mask_b[k][zi]
+        for pa, pmb in pred_tables:
+            pz = pmb[zi]
             if not pz:
                 continue
-            for px in pred_a[k][xi]:
+            for px in pa[xi]:
                 new = pz & rows[px] & ~queued[px]
                 if new:
                     queued[px] |= new
-                    base = px * nb
-                    queue.extend(base + z for z in _bits(new))
+                    push((px, new))
 
     for xi in range(na):
         for zi in range(nb):
             hit = check(xi, zi)
             if hit is not None:
                 kill(xi, zi, hit)
+    # Each bit leaves ``queued`` just before its pair is checked, as it
+    # would if it were queued on its own, so a deletion inside a chunk
+    # re-queues exactly the pairs a pair-by-pair queue would, in the
+    # same order.
+    pop = queue.popleft
     while queue:
-        xi, zi = divmod(queue.popleft(), nb)
-        queued[xi] &= ~(1 << zi)
-        if rows[xi] >> zi & 1:
-            hit = check(xi, zi)
-            if hit is not None:
-                kill(xi, zi, hit)
+        xi, chunk = pop()
+        while chunk:
+            low = chunk & -chunk
+            chunk ^= low
+            queued[xi] ^= low
+            if rows[xi] & low:
+                zi = low.bit_length() - 1
+                hit = check(xi, zi)
+                if hit is not None:
+                    kill(xi, zi, hit)
 
     return RefineResult(a, b, rows, log)
 

@@ -142,7 +142,17 @@ def _maximal(masks) -> list[int]:
 
 
 class _FamilyContext:
-    """Index tables and obligation masks for one (g, r, universe) triple."""
+    """Index tables and obligation masks for one (g, r, universe) triple.
+
+    Built from one universe mask per state: ``row[x]`` holds the pairs
+    whose plant state is x and ``col[z]`` those whose specification
+    state is z.  Under an event, the pairs a specification state z can
+    move to are the OR of ``col`` over z's successors, so the forward
+    obligation of a plant move x --ev--> x1 at (x, z) is ``row[x1]``
+    masked by it, and the backward obligation of a specification move
+    z --ev--> z1 is ``col[z1]`` masked by the OR of ``row`` over x's
+    successors.  Only the successor tables are read.
+    """
 
     def __init__(self, g: Automaton, r: Automaton, universe: tuple[Pair, ...]):
         require_same_alphabet(g, r)
@@ -151,61 +161,72 @@ class _FamilyContext:
         self.n = len(self.universe)
         self.full = (1 << self.n) - 1
         self.index: dict[Pair, int] = {}
+        gi, ri = g.state_index, r.state_index
+        row = [0] * g.n_states
+        col = [0] * r.n_states
+        codes: list[tuple[int, int]] = []
         for i, (x, z) in enumerate(self.universe):
-            if x not in g.state_index or z not in r.state_index:
+            xi, zi = gi.get(x), ri.get(z)
+            if xi is None or zi is None:
                 raise UniverseMismatch(f"pair ({x!r}, {z!r}) outside the automata")
             self.index[(x, z)] = i
+            row[xi] |= 1 << i
+            col[zi] |= 1 << i
+            codes.append((xi, zi))
         ab = g.alphabet
         self.uc_events = [e for e in ab.events if e in ab.uncontrollable]
         self.req_events = [e for e in ab.events if e in ab.required]
         # forward[i][ev]: one mask per plant move x --ev--> x', holding the
         # universe pairs (x', z') that a matching specification move reaches.
-        self.forward: list[dict[str, list[int]]] = []
+        self.forward: list[dict[str, list[int]]] = [{} for _ in codes]
         # backward[i][ev]: one (z', mask) per specification move z --ev--> z',
         # the mask holding universe pairs (x', z') with x --ev--> x'.
-        self.backward: list[dict[str, list[tuple[str, int]]]] = []
-        for x, z in self.universe:
-            fwd: dict[str, list[int]] = {}
-            bwd: dict[str, list[tuple[str, int]]] = {}
-            for ev in ab.events:
-                xs = g.successors(x, ev)
-                zs = r.successors(z, ev)
+        self.backward: list[dict[str, list[tuple[str, int]]]] = [{} for _ in codes]
+        # _obliged[ev]: (pairs with no forward obligation under ev, and
+        # (bit, obligations) for each pair with some), for ``good_mask``.
+        self._obliged: dict[str, tuple[int, list[tuple[int, list[int]]]]] = {}
+        zname = r.states
+        for ev, gk, rk in zip(ab.events, g.successor_table, r.successor_table):
+            colk = [0] * r.n_states
+            for zi, zs in enumerate(rk):
+                for z1 in zs:
+                    colk[zi] |= col[z1]
+            required = ev in ab.required
+            free, obliged = 0, []
+            for i, (xi, zi) in enumerate(codes):
+                xs = gk[xi]
                 if xs:
-                    fwd[ev] = [self._mask((x1, z1) for z1 in zs) for x1 in xs]
-                if ev in ab.required and zs:
-                    bwd[ev] = [(z1, self._mask((x1, z1) for x1 in xs)) for z1 in zs]
-            self.forward.append(fwd)
-            self.backward.append(bwd)
-        self.istate_masks = [
-            self._mask((x0, z0) for z0 in r.initial) for x0 in g.initial
-        ]
-        self.initial_mask = self._mask(
-            (x0, z0) for x0 in g.initial for z0 in r.initial
-        )
+                    cz = colk[zi]
+                    obs = self.forward[i][ev] = [row[x1] & cz for x1 in xs]
+                    obliged.append((1 << i, obs))
+                else:
+                    free |= 1 << i
+                if required and rk[zi]:
+                    rx = 0
+                    for x1 in xs:
+                        rx |= row[x1]
+                    self.backward[i][ev] = [(zname[z1], rx & col[z1]) for z1 in rk[zi]]
+            self._obliged[ev] = (free, obliged)
+        initial_col = 0
+        for z0 in r.initial:
+            initial_col |= col[ri[z0]]
+        self.istate_masks = [row[gi[x0]] & initial_col for x0 in g.initial]
+        self.initial_mask = 0
+        for m in self.istate_masks:
+            self.initial_mask |= m
         self._good_cache: dict[tuple[str, int], int] = {}
 
-    def _mask(self, pairs) -> int:
-        m = 0
-        for p in pairs:
-            i = self.index.get(p)
-            if i is not None:
-                m |= 1 << i
-        return m
-
     bits = staticmethod(_bits)
-
-    def ok(self, i: int, ev: str, target: int) -> bool:
-        return all(target & ob for ob in self.forward[i].get(ev, ()))
 
     def good_mask(self, ev: str, target: int) -> int:
         """Pairs whose forward obligations under ``ev`` land in ``target``."""
         key = (ev, target)
         cached = self._good_cache.get(key)
         if cached is None:
-            cached = 0
-            for i in range(self.n):
-                if self.ok(i, ev, target):
-                    cached |= 1 << i
+            cached, obliged = self._obliged[ev]
+            for bit, obs in obliged:
+                if all(map(target.__and__, obs)):
+                    cached |= bit
             self._good_cache[key] = cached
         return cached
 

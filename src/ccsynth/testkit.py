@@ -3,7 +3,8 @@
 Everything here exists to check the production algorithms from an
 independent direction: relations by exhaustive enumeration and by
 pair-by-pair refinement over named transitions, products and
-admissibility over named states, families by the member-by-member
+admissibility over named states, family obligation masks by named
+successor lookups, families by the member-by-member
 filtering step, supervisors by pruning and by assembly over the
 materialized closure, file parsing by the character-by-character
 tokenizer, instances by seeded generation that replays exactly.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Iterator
 
 from .automata import (
@@ -444,6 +446,58 @@ def random_instance(spec: InstanceSpec) -> tuple[Automaton, Automaton]:
     validate_automaton(g)
     validate_automaton(r)
     return g, r
+
+
+def named_family_context(
+    g: Automaton, r: Automaton, universe: tuple[tuple[str, str], ...]
+) -> SimpleNamespace:
+    """Obligation masks built one pair and one named successor at a time.
+
+    The oracle for the context built from per-state universe masks:
+    every mask is assembled from a lookup of each candidate pair.  The
+    namespace holds ``_FamilyContext``'s fields ``index``,
+    ``uc_events``, ``req_events``, ``forward``, ``backward``,
+    ``istate_masks`` and ``initial_mask``.
+    """
+    require_same_alphabet(g, r)
+    index: dict[tuple[str, str], int] = {}
+    for i, (x, z) in enumerate(universe):
+        if x not in g.state_index or z not in r.state_index:
+            raise UniverseMismatch(f"pair ({x!r}, {z!r}) outside the automata")
+        index[(x, z)] = i
+
+    def mask(pairs) -> int:
+        m = 0
+        for p in pairs:
+            i = index.get(p)
+            if i is not None:
+                m |= 1 << i
+        return m
+
+    ab = g.alphabet
+    forward: list[dict[str, list[int]]] = []
+    backward: list[dict[str, list[tuple[str, int]]]] = []
+    for x, z in universe:
+        fwd: dict[str, list[int]] = {}
+        bwd: dict[str, list[tuple[str, int]]] = {}
+        for ev in ab.events:
+            xs = g.successors(x, ev)
+            zs = r.successors(z, ev)
+            if xs:
+                fwd[ev] = [mask((x1, z1) for z1 in zs) for x1 in xs]
+            if ev in ab.required and zs:
+                bwd[ev] = [(z1, mask((x1, z1) for x1 in xs)) for z1 in zs]
+        forward.append(fwd)
+        backward.append(bwd)
+    return SimpleNamespace(
+        index=index,
+        uc_events=[e for e in ab.events if e in ab.uncontrollable],
+        req_events=[e for e in ab.events if e in ab.required],
+        forward=forward,
+        backward=backward,
+        istate_masks=[mask((x0, z0) for z0 in r.initial) for x0 in g.initial],
+        initial_mask=mask((x0, z0) for x0 in g.initial for z0 in r.initial),
+    )
 
 
 def member_passes(ctx: _FamilyContext, w: int, candidates) -> bool:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,6 +112,29 @@ def test_roundtrip_on_generated_instances(seed, deterministic):
     )
     for a in (g, r):
         assert parse_automaton(serialize_automaton(a)) == a
+
+
+def test_shuffled_and_repeated_transitions_parse_to_the_normal_form():
+    # The parser fills the successor table line by line; each entry must
+    # come out ascending and duplicate-free, as the named constructor
+    # normalizes it.
+    rng = random.Random(3)
+    reordered = 0
+    for seed in range(60):
+        g, r = random_instance(InstanceSpec(4, 5, 3, density=0.5, seed=seed))
+        for a in (g, r):
+            lines = serialize_automaton(a).splitlines()
+            head = [ln for ln in lines if not ln.startswith("trans")]
+            trans = [ln for ln in lines if ln.startswith("trans")]
+            shuffled = trans + rng.sample(trans, len(trans) // 3)
+            rng.shuffle(shuffled)
+            reordered += shuffled != trans
+            text = "\n".join(head + shuffled) + "\n"
+            got = parse_automaton(text)
+            assert got == reference_parse_automaton(text) == a
+            assert got.successor_table == a.successor_table
+            assert serialize_automaton(got) == serialize_automaton(a)
+    assert reordered >= 100
 
 
 # --- split-based tokenizing against the character tokenizer ----------------

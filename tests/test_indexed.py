@@ -6,8 +6,11 @@ keeps canonical transitions without sorting them again.  Each is compared
 with the named, pair-by-pair oracle kept in ``testkit``.
 """
 
+import gc
 import json
 import random
+import weakref
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +29,7 @@ from ccsynth import (
     validate_automaton,
     verify_solution,
 )
-from ccsynth import relations
+from ccsynth import relations, synthesis
 from ccsynth.cli import run_command
 from ccsynth.synthesis import (
     _assemble_supervisor,
@@ -368,3 +371,101 @@ def test_views_answer_like_frozen_copies(seed, drawn):
         assert len(res.reasons) == len(reasons) == res.deletions
         assert list(res.reasons) == list(reasons)
         assert res.reasons == reasons and reasons == res.reasons
+
+
+class _ChunkLog(deque):
+    """``refine``'s queue, counting pushes that re-queue bits of the
+    chunk being processed."""
+
+    requeued = 0
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.current = None
+
+    def popleft(self):
+        self.current = super().popleft()
+        return self.current
+
+    def append(self, chunk):
+        if self.current and self.current[0] == chunk[0] and self.current[1] & chunk[1]:
+            type(self).requeued += 1
+        super().append(chunk)
+
+
+def looping_pairs(count, seed):
+    """Automata with self-loops on most states against dense,
+    nondeterministic chains that run into dead ends, in both orders.
+
+    A dead end kills its predecessors one after another, and a pair
+    that passed its check while a later bit of its chunk was alive is
+    re-queued when that bit dies: bits of the chunk being processed go
+    back on the queue.
+    """
+    rng = random.Random(seed)
+    for i in range(count):
+        alphabet = random_alphabet(rng, 1 + i % 3)
+        a = random_automaton(alphabet, rng.randint(2, 8), 0.2, rng, prefix="x")
+        loops = tuple(
+            (s, ev, s) for s in a.states for ev in alphabet.events if rng.random() < 0.8
+        )
+        a = Automaton(alphabet, a.states, a.transitions + loops, a.initial)
+        zs = [f"z{j}" for j in range(rng.randint(3, 8))]
+        density = rng.choice((0.5, 0.7))
+        chain = tuple(
+            (zs[p], ev, zs[q])
+            for p in range(len(zs))
+            for ev in alphabet.events
+            for q in range(p + 1, len(zs))
+            if rng.random() < density
+        )
+        b = Automaton(alphabet, tuple(zs), chain, (zs[0],))
+        yield (a, b) if i % 2 == 0 else (b, a)
+
+
+def test_chunked_queue_keeps_pairwise_order(monkeypatch):
+    monkeypatch.setattr(relations, "deque", _ChunkLog)
+    _ChunkLog.requeued = 0
+    deleted = 0
+    for a, b in looping_pairs(150, 47):
+        for kind in kinds_for(a.alphabet):
+            assert_same_refinement(a, b, kind)
+            assert_same_verdict(monkeypatch, a, b, kind)
+            deleted += relations.refine(a, b, kind).deletions
+    assert deleted > 1000
+    assert _ChunkLog.requeued > 100
+
+
+def test_dropped_refinement_is_freed_without_gc(monkeypatch):
+    refs = []
+    real = synthesis.refine
+
+    def tracking(a, b, kind):
+        res = real(a, b, kind)
+        refs.append(weakref.ref(res))
+        return res
+
+    g, r = diamond_g(), diamond_r()
+    sup = synthesize(g, r).supervisor.automaton
+    gc.collect()
+    gc.disable()
+    try:
+        monkeypatch.setattr(synthesis, "refine", tracking)
+        assert verify_solution(sup, g, r).overall
+        # A failing check names its deletions, which the views keep.
+        report = verify_solution(scanner_s(), scanner_g(), scanner_r())
+        assert report.cc_counterexample is not None
+        assert len(refs) == 2
+        assert [ref() for ref in refs] == [None, None]
+
+        res = relations.refine(g, r, RelationKind.bisimulation(g.alphabet))
+        assert res.deletions and list(res.alive) is not None
+        res.root_cause(next(iter(res.reasons)))
+        alive, reasons = res.alive, res.reasons
+        ref = weakref.ref(res)
+        del res
+        assert ref() is None
+        # the views outlive the refinement
+        assert len(reasons) > 0 and len(alive) == len(list(alive))
+    finally:
+        gc.enable()

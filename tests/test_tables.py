@@ -201,7 +201,10 @@ def test_assembled_supervisors_and_products_behave_like_tuples():
 
 def assert_assembly_matches_edge_targets(fix, sup):
     ctx, chain, aut = fix.ctx, fix.antichain, sup.automaton
-    mask_of = {name: ctx._mask(pairs) for name, pairs in sup.members.items()}
+    mask_of = {
+        name: sum(1 << ctx.index[p] for p in pairs)
+        for name, pairs in sup.members.items()
+    }
     name_of = {m: name for name, m in mask_of.items()}
     assert len(name_of) == aut.n_states
     for name in aut.states:
