@@ -16,8 +16,8 @@ import os
 import sys
 import time
 
-# perfbench/tracer.py wraps names by getattr on this module (e.g.
-# ``build_supervisor``), so every imported name stays bound.
+# perfbench/tracer.py wraps names by getattr on this module, so every
+# name it lists stays bound here, used or not (``build_supervisor``).
 from .automata import Automaton
 from .errors import CcsynthError
 from .fileformat import export_dot, load_automaton, save_automaton, serialize_automaton
@@ -31,10 +31,10 @@ from .relations import (
 )
 from .synthesis import (
     DEFAULT_UNIVERSE_CAP,
-    PairSetFamily,
     build_supervisor,
     family_fixpoint,
     solvability_counterexample,
+    synthesize,
     universe_kind,
     verify_solution,
 )
@@ -125,45 +125,42 @@ def _cmd_admissible(args, report: _Report) -> int:
     return 0 if ok else 1
 
 
+def _report_fixpoint(report: _Report, g: Automaton, r: Automaton, fix) -> bool:
+    """Record the fixpoint's stats, and the counterexample when unsolvable."""
+    report.stats["universe_size"] = fix.ctx.n
+    report.stats["iterations"] = fix.iterations
+    if fix.solvable():
+        return True
+    report.counterexample = solvability_counterexample(g, r, fix)
+    return False
+
+
 def _cmd_solvable(args, report: _Report) -> int:
     g, r = _load_pair(args.g, args.r)
     fix = family_fixpoint(g, r, _cap())
-    ok = fix.solvable()
-    report.result = ok
-    report.stats["universe_size"] = fix.ctx.n
-    report.stats["iterations"] = fix.iterations
     report.stats["family_size"] = len(fix.antichain)
-    if ok:
-        report.lines.append("solvable")
-    else:
-        report.counterexample = solvability_counterexample(g, r, fix)
-        report.lines.append("unsolvable")
+    ok = report.result = _report_fixpoint(report, g, r, fix)
+    report.lines.append("solvable" if ok else "unsolvable")
     return 0 if ok else 1
 
 
 def _cmd_synthesize(args, report: _Report) -> int:
     g, r = _load_pair(args.g, args.r)
-    cap = _cap()
-    fix = family_fixpoint(g, r, cap)
-    report.stats["universe_size"] = fix.ctx.n
-    report.stats["iterations"] = fix.iterations
-    if not fix.solvable():
+    out = synthesize(g, r, _cap(), reachable_only=not args.full)
+    if not _report_fixpoint(report, g, r, out.fixpoint):
         report.result = False
-        report.counterexample = solvability_counterexample(g, r, fix)
         report.lines.append("unsolvable; no supervisor written")
         return 1
-    family = PairSetFamily(fix.ctx.universe, frozenset(fix.antichain))
-    report.stats["family_size"] = len(family)
-    sup = build_supervisor(family, g, r, reachable_only=not args.full)
-    save_automaton(sup.automaton, args.output)
+    report.stats["family_size"] = len(out.fixpoint.antichain)
+    sup = out.supervisor.automaton
+    save_automaton(sup, args.output)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(export_dot(sup.automaton))
-    check = verify_solution(sup.automaton, g, r)
+            fh.write(export_dot(sup))
+    check = out.report
     report.result = check.overall
     report.lines.append(
-        f"synthesized supervisor with {sup.automaton.n_states} states "
-        f"-> {args.output}"
+        f"synthesized supervisor with {sup.n_states} states -> {args.output}"
     )
     report.lines.append(
         f"verification: admissible={check.admissible} "
@@ -206,16 +203,19 @@ def _cmd_uniform(args, report: _Report) -> int:
 
 
 def _cmd_random(args, report: _Report) -> int:
-    spec = InstanceSpec(
-        g_states=args.states,
-        r_states=args.r_states if args.r_states is not None else args.states,
-        events=args.events,
-        uncontrollable_fraction=args.uncontrollable_fraction,
-        required_fraction=args.required_fraction,
-        density=args.density,
-        seed=args.seed,
-        deterministic=args.deterministic,
-    )
+    try:
+        spec = InstanceSpec(
+            g_states=args.states,
+            r_states=args.r_states if args.r_states is not None else args.states,
+            events=args.events,
+            uncontrollable_fraction=args.uncontrollable_fraction,
+            required_fraction=args.required_fraction,
+            density=args.density,
+            seed=args.seed,
+            deterministic=args.deterministic,
+        )
+    except ValueError as exc:
+        raise CcsynthError(f"invalid instance parameters: {exc}") from None
     g, r = random_instance(spec)
     g_text, r_text = serialize_automaton(g), serialize_automaton(r)
     if args.out_g:

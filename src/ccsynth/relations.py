@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping, Set
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .automata import Automaton, require_same_alphabet, sync_product
 from .errors import CapExceeded, UniverseMismatch
@@ -515,27 +515,14 @@ def inverse_initial_condition(phi: PairRelation) -> bool:
     )
 
 
-def _explain_initial(
-    res: RefineResult, failing: str, from_left: bool
-) -> Counterexample:
-    # Every candidate pairing of the failing initial state was deleted;
-    # trace the earliest-deleted one so the cascade is deterministic.
-    if from_left:
-        cands = [(failing, z0) for z0 in res.right.initial]
-    else:
-        cands = [(x0, failing) for x0 in res.left.initial]
+def initial_cascade(res: RefineResult, cands, note: str) -> Counterexample:
+    """Cascade of an initial state that lost every candidate pairing.
+
+    Every pair in ``cands`` was deleted; the earliest-deleted one is
+    traced, so the cascade is deterministic, and ``note`` is attached.
+    """
     first = min(cands, key=lambda c: res.reasons[c].time)
-    cx = res.root_cause(first)
-    side = "initial state" if from_left else "specification initial state"
-    return Counterexample(
-        kind=cx.kind,
-        left=cx.left,
-        right=cx.right,
-        event=cx.event,
-        successor=cx.successor,
-        chain=cx.chain,
-        note=f"no pairing survives for {side} {failing}",
-    )
+    return replace(res.root_cause(first), note=note)
 
 
 def initial_counterexample(
@@ -551,11 +538,19 @@ def initial_counterexample(
     if kind.check_initial:
         for x0 in a.initial:
             if not any((x0, z0) in res.alive for z0 in b.initial):
-                return _explain_initial(res, x0, True)
+                return initial_cascade(
+                    res,
+                    [(x0, z0) for z0 in b.initial],
+                    f"no pairing survives for initial state {x0}",
+                )
     if kind.check_inverse_initial:
         for z0 in b.initial:
             if not any((x0, z0) in res.alive for x0 in a.initial):
-                return _explain_initial(res, z0, False)
+                return initial_cascade(
+                    res,
+                    [(x0, z0) for x0 in a.initial],
+                    f"no pairing survives for specification initial state {z0}",
+                )
     return None
 
 

@@ -48,6 +48,7 @@ from .relations import (
     RelationKind,
     _bits,
     holds,
+    initial_cascade,
     initial_counterexample,
     is_admissible,
     is_cc_simulation,
@@ -288,8 +289,11 @@ def is_controllability_family(e: PairSetFamily, g: Automaton, r: Automaton) -> b
     a member passes against ``e`` iff the maximal member above it passes
     against A.  The cost is O(|A|^2) instead of O(|e|^2).
     """
-    ctx = _FamilyContext(g, r, e.universe)
-    chain = _maximal(e.members)
+    return _is_family(_FamilyContext(g, r, e.universe), _maximal(e.members))
+
+
+def _is_family(ctx: _FamilyContext, chain: list[int]) -> bool:
+    """The family conditions on the antichain ``chain``, against itself."""
     if not any(ctx.istate(w) for w in chain):
         return False
     return all(_violation_children(ctx, w, chain) is None for w in chain)
@@ -410,11 +414,10 @@ def solvability_counterexample(
     res = fix.universe_refinement
     for x0 in g.initial:
         cands = [(x0, z0) for z0 in r.initial]
-        dead = [c for c in cands if c not in res.alive]
-        if len(dead) == len(cands):
-            first = min(dead, key=lambda c: res.reasons[c].time)
-            cx = res.root_cause(first)
-            return replace(cx, note=f"no admissible pairing for initial state {x0}")
+        if not any(c in res.alive for c in cands):
+            return initial_cascade(
+                res, cands, f"no admissible pairing for initial state {x0}"
+            )
     remaining = list(fix.antichain)
     for x0idx, x0 in enumerate(g.initial):
         mask = fix.ctx.istate_masks[x0idx]
@@ -458,12 +461,23 @@ class SynthesisOutcome:
     solvable: bool
     fixpoint: _FamilyFixpoint
     supervisor: SupervisorAutomaton | None = None
-    report: VerificationReport | None = None
 
     @cached_property
     def family(self) -> PairSetFamily:
         """The greatest fixpoint, materialized on first read."""
         return self.fixpoint.materialize()
+
+    @cached_property
+    def report(self) -> VerificationReport | None:
+        """``verify_solution`` on the supervisor, run on first read.
+
+        Verification takes most of the time and memory of a large
+        synthesis, so a caller can write the supervisor out first.
+        """
+        if self.supervisor is None:
+            return None
+        ctx = self.fixpoint.ctx
+        return verify_solution(self.supervisor.automaton, ctx.g, ctx.r)
 
     @property
     def iterations(self) -> int:
@@ -575,10 +589,11 @@ def build_supervisor(
     it while walking.  The closure itself is materialized only when
     ``reachable_only=False`` asks for every member.
     """
-    if not is_controllability_family(e, g, r):
-        raise NotAFamily("input does not satisfy the controllability conditions")
     ctx = _FamilyContext(g, r, e.universe)
-    return _assemble_supervisor(ctx, _maximal(e.members), reachable_only=reachable_only)
+    chain = _maximal(e.members)
+    if not _is_family(ctx, chain):
+        raise NotAFamily("input does not satisfy the controllability conditions")
+    return _assemble_supervisor(ctx, chain, reachable_only=reachable_only)
 
 
 def extract_family(
@@ -642,21 +657,27 @@ def verify_solution(s: Automaton, g: Automaton, r: Automaton) -> VerificationRep
     )
 
 
-def synthesize(g: Automaton, r: Automaton, cap: int | None = None) -> SynthesisOutcome:
+def synthesize(
+    g: Automaton, r: Automaton, cap: int | None = None, *, reachable_only: bool = True
+) -> SynthesisOutcome:
     """Decide solvability and build the maximally permissive supervisor.
 
     When solvable, the supervisor built from the greatest fixpoint
-    simulates every other solution's supervised behavior; the attached
-    report re-verifies it through the independent membership test.  The
-    outcome keeps the fixpoint's antichain; its downward closure is
-    built only when ``family`` is read.
+    simulates every other solution's supervised behavior; the outcome's
+    ``report`` re-verifies it through the independent membership test
+    when it is read.  The outcome keeps the fixpoint's antichain; its
+    downward closure is built only when ``family`` is read, or as
+    supervisor states when ``reachable_only=False`` keeps every member
+    (as in ``build_supervisor``).  The fixpoint is a controllability
+    family by construction, so it is assembled without a family check.
     """
     fix = family_fixpoint(g, r, cap)
     if not fix.solvable():
         return SynthesisOutcome(False, fix)
-    supervisor = _assemble_supervisor(fix.ctx, fix.antichain, reachable_only=True)
-    report = verify_solution(supervisor.automaton, g, r)
-    return SynthesisOutcome(True, fix, supervisor, report)
+    supervisor = _assemble_supervisor(
+        fix.ctx, fix.antichain, reachable_only=reachable_only
+    )
+    return SynthesisOutcome(True, fix, supervisor)
 
 
 def deterministic_fastpath(g: Automaton, r: Automaton) -> bool | None:

@@ -39,7 +39,6 @@ from ccsynth.testkit import (
     InstanceSpec,
     brute_greatest_relation,
     enumerate_subsupervisors,
-    isomorphic,
     random_instance,
 )
 
@@ -57,6 +56,7 @@ from instances import (
     scanner_r,
     scanner_s,
 )
+from oracles import isomorphic
 from test_synthesis import expected_diamond_supervisor, expected_diamond_product
 
 

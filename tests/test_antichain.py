@@ -3,7 +3,7 @@
 ``is_controllability_family``, the hitting-set edge targets and
 ``build_supervisor`` work from a family's maximal members alone.  Each
 is compared with the closure-based oracle it replaced (kept in
-``testkit``), and the CLI path and library ``synthesize`` are shown to
+``oracles``), and the CLI path and library ``synthesize`` are shown to
 build no closure, the CLI writing the library's bytes.
 """
 
@@ -29,13 +29,7 @@ from ccsynth.synthesis import (
     _maximal,
     family_fixpoint,
 )
-from ccsynth.testkit import (
-    InstanceSpec,
-    closure_supervisor,
-    pairwise_is_controllability_family,
-    random_instance,
-    submask_edge_targets,
-)
+from ccsynth.testkit import InstanceSpec, random_instance
 
 from instances import (
     DIAMOND_FAMILY,
@@ -48,6 +42,11 @@ from instances import (
     ladder_r,
     scanner_g,
     scanner_r,
+)
+from oracles import (
+    closure_supervisor,
+    pairwise_is_controllability_family,
+    submask_edge_targets,
 )
 from test_acceptance import sweep
 

@@ -188,6 +188,29 @@ def test_random_output_parses_and_feeds_solvable(tmp_path):
     assert run_command(["solvable", g_path, r_path]) in (0, 1)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--states", "0"],
+        ["--events", "0"],
+        ["--r-states", "0"],
+        ["--density", "1.5"],
+        ["--density", "nan"],
+        ["--required-fraction", "-0.1"],
+    ],
+)
+def test_random_out_of_range_is_usage_error(tmp_path, capsys, bad):
+    g_path, r_path = tmp_path / "g.aut", tmp_path / "r.aut"
+    argv = ["random", "--states", "3", "--events", "2", "--seed", "4"] + bad
+    code = run_command(argv + ["--out-g", str(g_path), "--out-r", str(r_path)])
+    std = capsys.readouterr()
+    assert code == 2
+    assert std.out == ""
+    [line] = std.err.splitlines()
+    assert line.startswith("error: ")
+    assert not g_path.exists() and not r_path.exists()
+
+
 def test_one_parser_serves_every_command(files, monkeypatch, capsys):
     out = files["tmp"] / "out.aut"
     commands = [

@@ -2,7 +2,7 @@
 
 ``_FamilyContext`` builds its obligation masks from one universe mask
 per plant and per specification state and reads only successor tables.
-Every field is compared with ``testkit.named_family_context``, which
+Every field is compared with ``oracles.named_family_context``, which
 builds them pair by pair from named successors, and ``good_mask`` with
 a per-pair test of the forward obligations.  The family fixpoint, the
 family check and supervisor assembly are shown to make no named
@@ -21,7 +21,7 @@ from ccsynth import (
     pairs_universe,
 )
 from ccsynth.synthesis import PairSetFamily, _FamilyContext, family_fixpoint
-from ccsynth.testkit import InstanceSpec, named_family_context, random_instance
+from ccsynth.testkit import InstanceSpec, random_instance
 
 from instances import (
     DIAMOND_FAMILY,
@@ -35,6 +35,7 @@ from instances import (
     scanner_g,
     scanner_r,
 )
+from oracles import named_family_context
 from test_acceptance import sweep
 
 FIELDS = (

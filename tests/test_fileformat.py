@@ -11,7 +11,7 @@ from ccsynth import (
     serialize_automaton,
     sync_product,
 )
-from ccsynth.testkit import InstanceSpec, random_instance, reference_parse_automaton
+from ccsynth.testkit import InstanceSpec, random_instance
 
 from instances import (
     diamond_g,
@@ -24,6 +24,7 @@ from instances import (
     scanner_r,
     scanner_s,
 )
+from oracles import reference_parse_automaton
 
 SCANNER_FILE = """\
 # check-out scanner plant

@@ -3,7 +3,7 @@
 ``refine`` runs on bit rows, ``sync_product`` and ``is_admissible`` on
 integer pair codes over one shared successor table, and ``Automaton``
 keeps canonical transitions without sorting them again.  Each is compared
-with the named, pair-by-pair oracle kept in ``testkit``.
+with the named, pair-by-pair oracle kept in ``oracles``.
 """
 
 import gc
@@ -36,16 +36,11 @@ from ccsynth.synthesis import (
     family_fixpoint,
     universe_kind,
 )
-from ccsynth.testkit import (
-    InstanceSpec,
-    named_is_admissible,
-    named_sync_product,
-    pairwise_refine,
-    random_instance,
-)
+from ccsynth.testkit import InstanceSpec, random_instance
 
 from helpers import random_alphabet, random_automaton
 from instances import diamond_g, diamond_r, scanner_g, scanner_r, scanner_s
+from oracles import named_is_admissible, named_sync_product, pairwise_refine
 
 KINDS = ("sim", "ccsim", "bisim", "ucsim", "ucrsim")
 

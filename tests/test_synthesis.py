@@ -25,7 +25,6 @@ from ccsynth import (
 )
 from ccsynth.relations import clause_violations
 from ccsynth.synthesis import PairSetFamily, family_fixpoint, solvability_counterexample
-from ccsynth.testkit import isomorphic
 
 from instances import (
     DIAMOND_EVENTS,
@@ -45,6 +44,7 @@ from instances import (
     scanner_r,
     scanner_s,
 )
+from oracles import isomorphic
 
 LADDER_UNIVERSE = (
     ("x0", "z0"),

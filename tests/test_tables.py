@@ -38,10 +38,10 @@ from ccsynth import (
 from ccsynth import relations, synthesis
 from ccsynth.relations import product_admissibility
 from ccsynth.synthesis import _assemble_supervisor, _hitting_sets, family_fixpoint
-from ccsynth.testkit import named_is_admissible
 
 from helpers import random_alphabet, random_automaton
 from instances import diamond_g, diamond_r, scanner_g, scanner_r, scanner_s
+from oracles import named_is_admissible
 
 # Two near-limit draws of the benchmark's ``synth`` pool (s016, s045).
 S016 = InstanceSpec(4, 5, 3, 0.34, 0.34, 0.31, 767223550)
