@@ -10,9 +10,8 @@ makes all derived outputs deterministic.
 from __future__ import annotations
 
 import operator
-from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from typing import Iterable, Mapping, NamedTuple
@@ -163,15 +162,14 @@ class Automaton:
     """Nondeterministic automaton: states, labeled transitions and a
     nonempty set of initial states.
 
-    Transitions are normalized to a sorted, duplicate-free tuple at
-    construction (by state/event declaration indices), so two automata
-    describing the same structure compare equal regardless of the order
-    in which transitions were supplied; input that is already in that
-    form is kept as given.  ``from_table`` builds an automaton from its
-    integer successor table instead: ``transitions`` is then a
-    ``Transitions`` view of that table, equal to the sorted tuple, and
-    no named triple is stored.  ``successor_table`` is the one index
-    that successor queries, the relation checks and the product read.
+    Every automaton stores its integer successor table, and
+    ``transitions`` is the ``Transitions`` view of it: the sorted,
+    duplicate-free tuple of named triples, so two automata describing
+    the same structure compare equal regardless of the order in which
+    transitions were supplied.  Named triples are converted once, at
+    construction; a view over the same states and events is kept as
+    given, and ``from_table`` builds the view directly.  Construction
+    runs ``validate_automaton``, so an automaton that exists is valid.
     ``state_index`` maps each state to its declaration index.
     ``pair_of`` carries component information on synchronous products
     and never takes part in equality.
@@ -186,27 +184,22 @@ class Automaton:
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        sidx = {s: i for i, s in enumerate(self.states)}
-        eidx = self.alphabet._event_index
-        big = len(sidx) + len(eidx) + 1
-
-        def tkey(t: Transition):
-            return (sidx.get(t[0], big), eidx.get(t[1], big), sidx.get(t[2], big), t)
-
+        states = tuple(self.states)
+        sidx = {s: i for i, s in enumerate(states)}
+        big = len(sidx)
+        init = sorted(set(self.initial), key=lambda s: (sidx.get(s, big), s))
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "initial", tuple(init))
+        object.__setattr__(self, "state_index", sidx)
         trans = self.transitions
         if not (
             isinstance(trans, Transitions)
-            and trans.states == self.states
+            and trans.states == states
             and trans.events == self.alphabet.events
         ):
-            trans = tuple(trans)
-            if not _is_canonical(trans, sidx, eidx):
-                trans = tuple(sorted(set(map(tuple, trans)), key=tkey))
+            trans = Transitions(states, self.alphabet.events, _named_table(self, trans))
         object.__setattr__(self, "transitions", trans)
-        init = sorted(set(self.initial), key=lambda s: (sidx.get(s, big), s))
-        object.__setattr__(self, "initial", tuple(init))
-        object.__setattr__(self, "state_index", sidx)
+        validate_automaton(self)
 
     @classmethod
     def from_table(
@@ -230,7 +223,7 @@ class Automaton:
 
     # -- indexed views -------------------------------------------------
 
-    @cached_property
+    @property
     def successor_table(self) -> SuccessorTable:
         """Successor indices, ``successor_table[event][state]``.
 
@@ -238,13 +231,7 @@ class Automaton:
         is ascending, like ``successors``.  The relation checks and the
         product run on this table instead of on named transitions.
         """
-        if isinstance(self.transitions, Transitions):
-            return self.transitions.table
-        sidx, eidx = self.state_index, self.alphabet._event_index
-        rows = [[[] for _ in self.states] for _ in eidx]
-        for src, ev, dst in self.transitions:
-            rows[eidx[ev]][sidx[src]].append(sidx[dst])
-        return tuple(tuple(map(tuple, row)) for row in rows)
+        return self.transitions.table
 
     def _targets(self, state: str, event: str) -> tuple[int, ...]:
         i = self.state_index.get(state)
@@ -265,26 +252,39 @@ class Automaton:
         return len(self.states)
 
 
-def _is_canonical(
-    transitions: tuple, sidx: dict[str, int], eidx: dict[str, int]
-) -> bool:
-    """Are ``transitions`` declared tuples, strictly ascending by index?
+def _named_table(a: Automaton, transitions: Iterable) -> list:
+    """The successor table of named ``(source, event, target)`` triples
+    over ``a``'s states and alphabet, each entry sorted and deduplicated.
 
-    Strict ascent by (source, event, target) index rules out duplicates,
-    so such input is already in the normal form and needs no sort.
+    An undeclared name raises in ``validate_automaton``'s order: an
+    empty initial set first, then an undeclared event, then an
+    undeclared source or target, each named at the first offending
+    triple in normal form.
     """
-    if set(map(type, transitions)) - {tuple} or set(map(len, transitions)) - {3}:
-        return False
-    prev = (-1, -1, -1)
+    sidx, eidx = a.state_index, a.alphabet._event_index
+    triples = tuple(transitions)
+    table = [[[] for _ in a.states] for _ in eidx]
     try:
-        for src, ev, dst in transitions:
-            key = (sidx[src], eidx[ev], sidx[dst])
-            if key <= prev:
-                return False
-            prev = key
+        for src, ev, dst in triples:
+            table[eidx[ev]][sidx[src]].append(sidx[dst])
     except KeyError:
-        return False
-    return True
+        if not a.initial:
+            validate_automaton(a)
+        big = len(sidx) + len(eidx)
+        faulty = sorted(
+            (sidx.get(t[0], big), eidx.get(t[1], big), sidx.get(t[2], big), t)
+            for t in map(tuple, triples)
+            if not (t[0] in sidx and t[1] in eidx and t[2] in sidx)
+        )
+        src, ev, dst = next((f for f in faulty if f[1] == big), faulty[0])[-1]
+        if ev not in eidx:
+            raise UnknownEvent(f"transition event {ev!r} not in alphabet") from None
+        side, name = ("target", dst) if src in sidx else ("source", src)
+        raise UnknownState(f"transition {side} {name!r} not a declared state") from None
+    return [
+        [tuple(sorted(set(ts))) if len(ts) > 1 else tuple(ts) for ts in row]
+        for row in table
+    ]
 
 
 def validate_automaton(a: Automaton) -> None:
@@ -292,22 +292,16 @@ def validate_automaton(a: Automaton) -> None:
 
     Checks, in order: nonempty initial set, transition events declared,
     transition endpoints and initial states declared, state ids unique.
+    ``Automaton`` runs it at construction; the transition checks are made
+    while named transitions are converted to the successor table, which
+    refers to declared states and events only.
     """
     if not a.initial:
         raise EmptyInitialSet("initial state set is empty")
-    declared = set(a.states)
-    events = set(a.alphabet.events)
-    for src, ev, dst in a.transitions:
-        if ev not in events:
-            raise UnknownEvent(f"transition event {ev!r} not in alphabet")
-        if src not in declared:
-            raise UnknownState(f"transition source {src!r} not a declared state")
-        if dst not in declared:
-            raise UnknownState(f"transition target {dst!r} not a declared state")
     for s in a.initial:
-        if s not in declared:
+        if s not in a.state_index:
             raise UnknownState(f"initial state {s!r} not a declared state")
-    if len(declared) != len(a.states):
+    if len(a.state_index) != len(a.states):
         seen: set[str] = set()
         for s in a.states:
             if s in seen:
@@ -386,33 +380,33 @@ def reach(a: Automaton, sequence: Sequence[str]) -> frozenset[str]:
     return current
 
 
-def reachable_states(a: Automaton) -> tuple[str, ...]:
-    """All reachable states, in BFS discovery order from the initials."""
-    seen = list(a.initial)
-    seen_set = set(seen)
-    queue = deque(seen)
-    while queue:
-        s = queue.popleft()
-        for ev in a.alphabet.events:
-            for t in a.successors(s, ev):
-                if t not in seen_set:
-                    seen_set.add(t)
-                    seen.append(t)
-                    queue.append(t)
-    return tuple(seen)
-
-
 def reachable_part(a: Automaton) -> Automaton:
     """Restriction of ``a`` to states reachable from its initial set."""
-    keep = set(reachable_states(a))
-    return replace(
-        a,
-        states=tuple(s for s in a.states if s in keep),
-        transitions=tuple(t for t in a.transitions if t[0] in keep and t[2] in keep),
-        initial=a.initial,
+    table = a.successor_table
+    seen = [False] * a.n_states
+    stack = [a.state_index[s] for s in a.initial]
+    for i in stack:
+        seen[i] = True
+    while stack:
+        i = stack.pop()
+        for row in table:
+            for j in row[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+    keep = [i for i, s in enumerate(seen) if s]
+    # Renumbering in declaration order keeps every entry ascending.
+    new = {i: n for n, i in enumerate(keep)}
+    states = [a.states[i] for i in keep]
+    kept = set(states)
+    return Automaton.from_table(
+        a.alphabet,
+        states,
+        [[tuple(map(new.__getitem__, row[i])) for i in keep] for row in table],
+        a.initial,
         pair_of=None
         if a.pair_of is None
-        else {s: p for s, p in a.pair_of.items() if s in keep},
+        else {s: p for s, p in a.pair_of.items() if s in kept},
     )
 
 
@@ -469,12 +463,10 @@ def make_automaton(
     uncontrollable: Iterable[str] = (),
     required: Iterable[str] = (),
 ) -> Automaton:
-    """Build and validate an automaton in one call."""
-    a = Automaton(
+    """Build an automaton, alphabet included, in one call."""
+    return Automaton(
         alphabet=Alphabet(tuple(events), frozenset(uncontrollable), frozenset(required)),
         states=tuple(states),
-        transitions=tuple(transitions),
+        transitions=transitions,
         initial=tuple(initial),
     )
-    validate_automaton(a)
-    return a

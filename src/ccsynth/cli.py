@@ -22,6 +22,7 @@ from .automata import Automaton
 from .errors import CcsynthError
 from .fileformat import export_dot, load_automaton, save_automaton, serialize_automaton
 from .relations import (
+    NAMED_KINDS,
     Counterexample,
     RelationKind,
     greatest_relation,
@@ -39,9 +40,6 @@ from .synthesis import (
     verify_solution,
 )
 from .testkit import InstanceSpec, random_instance
-
-KINDS = ("sim", "ccsim", "bisim", "ucsim", "ucrsim")
-
 
 def _cap() -> int:
     raw = os.environ.get("CCSYNTH_CAP")
@@ -249,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable report")
 
     p = sub.add_parser("check", help="decide a behavioral preorder between two files")
-    p.add_argument("--kind", choices=KINDS, required=True)
+    p.add_argument("--kind", choices=tuple(NAMED_KINDS), required=True)
     p.add_argument("a")
     p.add_argument("b")
     add_json(p)
@@ -329,7 +327,14 @@ def run_command(argv: list[str]) -> int:
     except (CcsynthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report.emit(args.json)
+    try:
+        report.emit(args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (``ccsynth ... | head``).  The verdict
+        # stands; what is still buffered goes to the null device, so the
+        # interpreter's last flush at exit does not fail either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -144,8 +144,13 @@ def _serialized_lines(a: Automaton):
     initial = set(a.initial)
     for s in a.states:
         yield f"state {s} initial\n" if s in initial else f"state {s}\n"
-    for src, ev, dst in a.transitions:
-        yield f"trans {src} {ev} {dst}\n"
+    # The successor table, walked in the order of ``a.transitions``
+    # without building a triple per edge.
+    states = a.states
+    for src, rows in zip(states, zip(*a.successor_table)):
+        for ev, targets in zip(a.alphabet.events, rows):
+            for j in targets:
+                yield f"trans {src} {ev} {states[j]}\n"
 
 
 def serialize_automaton(a: Automaton) -> str:

@@ -91,17 +91,20 @@ class RelationKind:
 
     @staticmethod
     def named(name: str, alphabet) -> "RelationKind":
-        factories = {
-            "sim": RelationKind.simulation,
-            "ccsim": RelationKind.cc_simulation,
-            "bisim": RelationKind.bisimulation,
-            "ucsim": RelationKind.uc_simulation,
-            "ucrsim": RelationKind.ucr_simulation,
-        }
         try:
-            return factories[name](alphabet)
+            return NAMED_KINDS[name](alphabet)
         except KeyError:
             raise ValueError(f"unknown relation kind {name!r}") from None
+
+
+# The kinds ``RelationKind.named`` builds, by name: the CLI's ``--kind``.
+NAMED_KINDS = {
+    "sim": RelationKind.simulation,
+    "ccsim": RelationKind.cc_simulation,
+    "bisim": RelationKind.bisimulation,
+    "ucsim": RelationKind.uc_simulation,
+    "ucrsim": RelationKind.ucr_simulation,
+}
 
 
 @dataclass(frozen=True)

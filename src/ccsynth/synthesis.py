@@ -176,17 +176,15 @@ class _FamilyContext:
             codes.append((xi, zi))
         ab = g.alphabet
         self.uc_events = [e for e in ab.events if e in ab.uncontrollable]
-        self.req_events = [e for e in ab.events if e in ab.required]
         # forward[i][ev]: one mask per plant move x --ev--> x', holding the
         # universe pairs (x', z') that a matching specification move reaches.
         self.forward: list[dict[str, list[int]]] = [{} for _ in codes]
-        # backward[i][ev]: one (z', mask) per specification move z --ev--> z',
-        # the mask holding universe pairs (x', z') with x --ev--> x'.
-        self.backward: list[dict[str, list[tuple[str, int]]]] = [{} for _ in codes]
+        # backward[i][ev]: one mask per specification move z --ev--> z',
+        # holding the universe pairs (x', z') with x --ev--> x'.
+        self.backward: list[dict[str, list[int]]] = [{} for _ in codes]
         # _obliged[ev]: (pairs with no forward obligation under ev, and
         # (bit, obligations) for each pair with some), for ``good_mask``.
         self._obliged: dict[str, tuple[int, list[tuple[int, list[int]]]]] = {}
-        zname = r.states
         for ev, gk, rk in zip(ab.events, g.successor_table, r.successor_table):
             colk = [0] * r.n_states
             for zi, zs in enumerate(rk):
@@ -206,7 +204,7 @@ class _FamilyContext:
                     rx = 0
                     for x1 in xs:
                         rx |= row[x1]
-                    self.backward[i][ev] = [(zname[z1], rx & col[z1]) for z1 in rk[zi]]
+                    self.backward[i][ev] = [rx & col[z1] for z1 in rk[zi]]
             self._obliged[ev] = (free, obliged)
         initial_col = 0
         for z0 in r.initial:
@@ -333,7 +331,7 @@ def _violation_children(ctx: _FamilyContext, w: int, chain: list[int]):
             return [w & ctx.good_mask(ev, t) for t in chain]
     for i in ctx.bits(w):
         for ev, obligations in ctx.backward[i].items():
-            for _z1, ob in obligations:
+            for ob in obligations:
                 if not any(t & ob and ctx.match(w, ev, t) for t in chain):
                     children = [w & ~(1 << i)]
                     children.extend(
@@ -488,15 +486,6 @@ def member_state_id(pairs) -> str:
     return "W{" + ",".join(f"{x}:{z}" for x, z in pairs) + "}"
 
 
-def _initial_members(ctx: _FamilyContext, chain: list[int]) -> list[int]:
-    # Initial supervisor states: members inside initial-by-initial pairs
-    # that still realize the istate condition.
-    cand: set[int] = set()
-    for m in chain:
-        cand.update(_submasks(m & ctx.initial_mask))
-    return sorted(w for w in cand if ctx.istate(w))
-
-
 def _hitting_sets(chain: list[int], obs) -> list[int]:
     """Nonzero submasks of the chain members that meet every mask in
     ``obs``, inside the union of ``obs``; ascending.
@@ -526,7 +515,10 @@ def _hitting_sets(chain: list[int], obs) -> list[int]:
 def _assemble_supervisor(
     ctx: _FamilyContext, chain: list[int], *, reachable_only: bool
 ) -> SupervisorAutomaton:
-    initial = _initial_members(ctx, chain)
+    # Initial supervisor states: members that meet every initial plant
+    # state's pairs with initial specification states (the istate
+    # condition), inside those pairs.
+    initial = _hitting_sets(chain, ctx.istate_masks)
     if not initial:
         raise NotAFamily("no member realizes the initial condition")
     family = PairSetFamily(ctx.universe, frozenset(chain))

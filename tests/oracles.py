@@ -5,8 +5,9 @@ Relations by pair-by-pair refinement over named transitions, products
 and admissibility over named states, file parsing by the
 character-by-character tokenizer, family obligation masks by named
 successor lookups, the family check member by member, supervisors by
-assembly over the materialized closure, and automaton isomorphism by
-backtracking.  None of them ships with the package.
+assembly over the materialized closure, supervisor variants by
+filtering named transitions, and automaton isomorphism by backtracking.
+None of them ships with the package.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from ccsynth.automata import (
     ProductState,
     product_state_id,
     require_same_alphabet,
-    validate_automaton,
 )
 from ccsynth.errors import NotAFamily, ParseError, UniverseMismatch
 from ccsynth.relations import (
@@ -308,14 +308,12 @@ def reference_parse_automaton(text: str) -> Automaton:
     last = text.count("\n") + 1
     if not initial:
         raise ParseError(last, 1, "no initial state declared")
-    a = Automaton(
+    return Automaton(
         alphabet=Alphabet(tuple(events), frozenset(uncontrollable), frozenset(required)),
         states=tuple(states),
         transitions=tuple(transitions),
         initial=tuple(initial),
     )
-    validate_automaton(a)
-    return a
 
 
 def named_family_context(
@@ -326,8 +324,8 @@ def named_family_context(
     The oracle for the context built from per-state universe masks:
     every mask is assembled from a lookup of each candidate pair.  The
     namespace holds ``_FamilyContext``'s fields ``index``,
-    ``uc_events``, ``req_events``, ``forward``, ``backward``,
-    ``istate_masks`` and ``initial_mask``.
+    ``uc_events``, ``forward``, ``backward``, ``istate_masks`` and
+    ``initial_mask``.
     """
     require_same_alphabet(g, r)
     index: dict[tuple[str, str], int] = {}
@@ -346,23 +344,22 @@ def named_family_context(
 
     ab = g.alphabet
     forward: list[dict[str, list[int]]] = []
-    backward: list[dict[str, list[tuple[str, int]]]] = []
+    backward: list[dict[str, list[int]]] = []
     for x, z in universe:
         fwd: dict[str, list[int]] = {}
-        bwd: dict[str, list[tuple[str, int]]] = {}
+        bwd: dict[str, list[int]] = {}
         for ev in ab.events:
             xs = g.successors(x, ev)
             zs = r.successors(z, ev)
             if xs:
                 fwd[ev] = [mask((x1, z1) for z1 in zs) for x1 in xs]
             if ev in ab.required and zs:
-                bwd[ev] = [(z1, mask((x1, z1) for x1 in xs)) for z1 in zs]
+                bwd[ev] = [mask((x1, z1) for x1 in xs) for z1 in zs]
         forward.append(fwd)
         backward.append(bwd)
     return SimpleNamespace(
         index=index,
         uc_events=[e for e in ab.events if e in ab.uncontrollable],
-        req_events=[e for e in ab.events if e in ab.required],
         forward=forward,
         backward=backward,
         istate_masks=[mask((x0, z0) for z0 in r.initial) for x0 in g.initial],
@@ -524,3 +521,18 @@ def isomorphic(a: Automaton, b: Automaton) -> bool:
         return False
 
     return extend(0)
+
+
+def named_subsupervisors(s: SupervisorAutomaton | Automaton, limit: int):
+    """Variants of a supervisor with nonempty transition subsets removed,
+    each rebuilt from the tuple of its remaining named triples.
+
+    The oracle for ``enumerate_subsupervisors``, which drops entries
+    from a copy of the successor table: bit i of the deletion mask is
+    the i-th triple in normal form, and masks ascend from 1.
+    """
+    aut = s.automaton if isinstance(s, SupervisorAutomaton) else s
+    triples = tuple(aut.transitions)
+    for mask in range(1, min(limit + 1, 1 << len(triples))):
+        keep = tuple(t for i, t in enumerate(triples) if not mask >> i & 1)
+        yield Automaton(aut.alphabet, aut.states, keep, aut.initial)

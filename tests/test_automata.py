@@ -6,6 +6,7 @@ from ccsynth import (
     Alphabet,
     AlphabetMismatch,
     Automaton,
+    DuplicateStateId,
     EmptyInitialSet,
     UnknownEvent,
     UnknownState,
@@ -39,21 +40,72 @@ def test_scanner_plant_is_valid():
 
 
 def test_empty_initial_set_rejected():
-    a = Automaton(Alphabet(("a",)), ("s",), (("s", "a", "s"),), ())
     with pytest.raises(EmptyInitialSet):
-        validate_automaton(a)
+        Automaton(Alphabet(("a",)), ("s",), (("s", "a", "s"),), ())
 
 
 def test_unknown_event_rejected():
-    a = Automaton(Alphabet(("a",)), ("s",), (("s", "go", "s"),), ("s",))
     with pytest.raises(UnknownEvent):
-        validate_automaton(a)
+        Automaton(Alphabet(("a",)), ("s",), (("s", "go", "s"),), ("s",))
 
 
 def test_unknown_state_rejected():
-    a = Automaton(Alphabet(("a",)), ("s",), (("s", "a", "t"),), ("s",))
     with pytest.raises(UnknownState):
-        validate_automaton(a)
+        Automaton(Alphabet(("a",)), ("s",), (("s", "a", "t"),), ("s",))
+
+
+# One fault each, with the class and message it raises at construction.
+SINGLE_FAULTS = [
+    (("s", "t"), [("s", "a", "t")], (), EmptyInitialSet, "initial state set is empty"),
+    (
+        ("s", "t"),
+        [("t", "go", "s"), ("s", "a", "t"), ["s", "go", "t"]],
+        ("s",),
+        UnknownEvent,
+        "transition event 'go' not in alphabet",
+    ),
+    (
+        ("s", "t"),
+        [("u", "a", "s"), ("s", "a", "t"), ("s", "a", "u")],
+        ("s",),
+        UnknownState,
+        "transition target 'u' not a declared state",
+    ),
+    (
+        ("s", "t"),
+        [("s", "a", "t"), ("u", "a", "s")],
+        ("s",),
+        UnknownState,
+        "transition source 'u' not a declared state",
+    ),
+    (
+        ("s", "t"),
+        [("s", "a", "t")],
+        ("t", "q", "s"),
+        UnknownState,
+        "initial state 'q' not a declared state",
+    ),
+    (
+        ("s", "t", "s"),
+        [("s", "a", "t")],
+        ("s",),
+        DuplicateStateId,
+        "state id 's' declared twice",
+    ),
+]
+
+
+@pytest.mark.parametrize("states, transitions, initial, error, message", SINGLE_FAULTS)
+def test_single_faults_raise_at_construction(
+    states, transitions, initial, error, message
+):
+    alphabet = Alphabet(("a", "b"))
+    with pytest.raises(error) as exc:
+        Automaton(alphabet, states, transitions, initial)
+    assert str(exc.value) == message
+    with pytest.raises(error) as exc:
+        make_automaton(alphabet.events, states, iter(transitions), initial)
+    assert str(exc.value) == message
 
 
 def test_alphabet_partition():

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -262,3 +266,28 @@ def test_one_parser_serves_every_command(files, monkeypatch, capsys):
     # --full keeps unreachable supervisor states; a leaked flag would
     # make the plain run write the same file.
     assert fresh[0][3] != fresh[1][3] == fresh[11][3]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_reader_closing_the_pipe_is_not_an_error(extra):
+    # About 300 kB of output: more than a pipe holds, so the command is
+    # still writing when the reader goes away after one line.
+    argv = ["random", "--states", "80", "--events", "6", "--seed", "1"]
+    argv += ["--density", "0.5"] + extra
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC)] + sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ccsynth.cli"] + argv,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+    assert first == (b"{\n" if extra else b"# plant\n")

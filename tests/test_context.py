@@ -41,7 +41,6 @@ from test_acceptance import sweep
 FIELDS = (
     "index",
     "uc_events",
-    "req_events",
     "forward",
     "backward",
     "istate_masks",

@@ -2,8 +2,9 @@
 
 ``refine`` runs on bit rows, ``sync_product`` and ``is_admissible`` on
 integer pair codes over one shared successor table, and ``Automaton``
-keeps canonical transitions without sorting them again.  Each is compared
-with the named, pair-by-pair oracle kept in ``oracles``.
+converts named transitions to that table once, at construction.  Each is
+compared with the named, pair-by-pair oracle kept in ``oracles`` or with
+a table sorted by hand.
 """
 
 import gc
@@ -19,14 +20,14 @@ from hypothesis import strategies as st
 from ccsynth import (
     Alphabet,
     Automaton,
-    CcsynthError,
     RelationKind,
+    UnknownEvent,
+    UnknownState,
     holds,
     is_admissible,
     save_automaton,
     sync_product,
     synthesize,
-    validate_automaton,
     verify_solution,
 )
 from ccsynth import relations, synthesis
@@ -195,14 +196,6 @@ def _oracle_key(a_states, events):
     return lambda t: (sidx.get(t[0], big), eidx.get(t[1], big), sidx.get(t[2], big), t)
 
 
-def _error_class(a):
-    try:
-        validate_automaton(a)
-    except CcsynthError as exc:
-        return type(exc)
-    return None
-
-
 STATES = ("s0", "s1", "s2", "s3")
 EVENTS = ("e0", "e1", "e2")
 
@@ -228,18 +221,36 @@ def transition_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(transition_inputs())
-def test_canonical_fast_path_matches_generic_sort(inputs):
+def test_named_construction_matches_the_sorted_table(inputs):
     states, events, supplied = inputs
     alphabet = Alphabet(events)
-    key = _oracle_key(states, events)
-    canonical = tuple(sorted(set(map(tuple, supplied)), key=key))
-    ref = Automaton(alphabet, states, canonical, (states[0],))
+    triples = set(map(tuple, supplied))
+    # Undeclared events are reported before undeclared states.
+    if any(ev not in events for _, ev, _ in triples):
+        error = UnknownEvent
+    elif any(s not in states for src, _, dst in triples for s in (src, dst)):
+        error = UnknownState
+    else:
+        error = None
+    if error is not None:
+        with pytest.raises(error):
+            Automaton(alphabet, states, supplied, (states[0],))
+        with pytest.raises(error):
+            Automaton(alphabet, states, iter(supplied), (states[0],))
+        return
+    canonical = tuple(sorted(triples, key=_oracle_key(states, events)))
+    table = [[[] for _ in states] for _ in events]
+    for src, ev, dst in canonical:
+        table[events.index(ev)][states.index(src)].append(states.index(dst))
+    ref = Automaton.from_table(
+        alphabet, states, [list(map(tuple, row)) for row in table], (states[0],)
+    )
     got = Automaton(alphabet, states, supplied, (states[0],))
     assert got == ref
     assert Automaton(alphabet, states, iter(supplied), (states[0],)) == ref
+    assert got.successor_table == ref.successor_table
     assert got.transitions == ref.transitions == canonical
     assert all(type(t) is tuple for t in got.transitions)
-    assert _error_class(got) is _error_class(ref)
 
 
 def test_canonical_input_is_kept_as_given():
@@ -404,7 +415,7 @@ def looping_pairs(count, seed):
         loops = tuple(
             (s, ev, s) for s in a.states for ev in alphabet.events if rng.random() < 0.8
         )
-        a = Automaton(alphabet, a.states, a.transitions + loops, a.initial)
+        a = Automaton(alphabet, a.states, tuple(a.transitions) + loops, a.initial)
         zs = [f"z{j}" for j in range(rng.randint(3, 8))]
         density = rng.choice((0.5, 0.7))
         chain = tuple(

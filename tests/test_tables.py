@@ -27,21 +27,25 @@ from ccsynth import (
     export_dot,
     is_admissible,
     is_deterministic,
+    make_automaton,
+    parse_automaton,
     random_instance,
     reachable_part,
     save_automaton,
     serialize_automaton,
     sync_product,
+    synthesize,
     validate_automaton,
     verify_solution,
 )
 from ccsynth import relations, synthesis
+from ccsynth.automata import Transitions
 from ccsynth.relations import product_admissibility
 from ccsynth.synthesis import _assemble_supervisor, _hitting_sets, family_fixpoint
 
 from helpers import random_alphabet, random_automaton
 from instances import diamond_g, diamond_r, scanner_g, scanner_r, scanner_s
-from oracles import named_is_admissible
+from oracles import named_is_admissible, named_subsupervisors
 
 # Two near-limit draws of the benchmark's ``synth`` pool (s016, s045).
 S016 = InstanceSpec(4, 5, 3, 0.34, 0.34, 0.31, 767223550)
@@ -85,8 +89,16 @@ def solvable_supervisors(pairs, max_edges=None):
 
 
 def named_twin(aut):
-    """The same automaton built from a tuple of named triples."""
-    return Automaton(aut.alphabet, aut.states, tuple(aut.transitions), aut.initial)
+    """The same automaton built from a tuple of named triples, and that
+    tuple, read off the successor table without the view."""
+    states, table = aut.states, aut.successor_table
+    triples = tuple(
+        (src, ev, states[j])
+        for i, src in enumerate(states)
+        for ev, row in zip(aut.alphabet.events, table)
+        for j in row[i]
+    )
+    return Automaton(aut.alphabet, states, triples, aut.initial), triples
 
 
 def probes(aut, rng):
@@ -111,8 +123,8 @@ def probes(aut, rng):
 
 
 def assert_behaves_like_tuple(aut, rng):
-    twin = named_twin(aut)
-    view, triples = aut.transitions, twin.transitions
+    twin, triples = named_twin(aut)
+    view = aut.transitions
     assert type(triples) is tuple
     assert len(view) == len(triples)
     assert tuple(view) == triples and list(view) == list(triples)
@@ -194,6 +206,69 @@ def test_assembled_supervisors_and_products_behave_like_tuples():
         seen += 1
     assert seen >= 10
     assert_behaves_like_tuple(sync_product(scanner_s(), scanner_g()), rng)
+
+
+# --- one representation ---------------------------------------------------
+
+
+def built_every_way():
+    """(how, automaton) for each way the package builds an automaton."""
+    g, r = diamond_g(), diamond_r()
+    fix = family_fixpoint(g, r)
+    sup = _assemble_supervisor(fix.ctx, fix.antichain, reachable_only=True)
+    full = _assemble_supervisor(fix.ctx, fix.antichain, reachable_only=False)
+    named = [("q", "b", "p"), ["p", "a", "q"], ("p", "a", "q")]
+    yield "make_automaton", make_automaton(("a", "b"), ("p", "q"), named, ("p",))
+    yield "Automaton", Automaton(r.alphabet, r.states, r.transitions[::-1], r.initial)
+    yield "replace transitions", dataclasses.replace(g, transitions=g.transitions[::2])
+    yield "replace states", dataclasses.replace(g, states=g.states[::-1])
+    yield "replace pair_of", dataclasses.replace(g, pair_of=None)
+    for spec in (R9, dataclasses.replace(R9, deterministic=True)):
+        for i, aut in enumerate(random_instance(spec)):
+            yield f"random_instance {spec.deterministic} {i}", aut
+    yield "parse_automaton", parse_automaton(serialize_automaton(g))
+    yield "reachable_part", reachable_part(full.automaton)
+    product = sync_product(sup.automaton, g, full=True)
+    yield "reachable_part of a product", reachable_part(product)
+    for i, mutant in enumerate(enumerate_subsupervisors(sup, 3)):
+        yield f"enumerate_subsupervisors {i}", mutant
+    yield "sync_product", sync_product(sup.automaton, g)
+    yield "sync_product full", sync_product(sup.automaton, g, full=True)
+    yield "assembly", sup.automaton
+    yield "assembly full", full.automaton
+    yield "synthesize", synthesize(g, r).supervisor.automaton
+
+
+def test_every_automaton_stores_its_successor_table():
+    ways = 0
+    for how, aut in built_every_way():
+        assert type(aut.transitions) is Transitions, how
+        assert aut.successor_table is aut.transitions.table, how
+        assert (aut.transitions.states, aut.transitions.events) == (
+            aut.states,
+            aut.alphabet.events,
+        ), how
+        ways += 1
+    assert ways == 20
+
+
+def test_subsupervisors_match_the_named_enumeration():
+    pairs = [(diamond_g(), diamond_r()), (scanner_g(()), scanner_r(()))]
+    pairs += list(c08_sweep())
+    sizes = Counter()
+    for _g, _r, _fix, _reachable, sup in solvable_supervisors(pairs):
+        edges = len(sup.automaton.transitions)
+        # The oracle copies every edge per variant, so the large
+        # supervisors (5,698 to 156,991 edges) get few variants.  Past
+        # 2**edges - 1 the enumeration runs out of deletion masks.
+        limits = (0, 1, 6 if edges > 5_000 else 40)
+        for limit in limits + ((1 << edges) + 2,) * (edges <= 8):
+            got = list(enumerate_subsupervisors(sup, limit))
+            assert got == list(named_subsupervisors(sup, limit)), (edges, limit)
+            assert len(got) == min(limit, (1 << edges) - 1)
+        sizes[edges <= 8, edges > 5_000] += 1
+    assert sizes[True, False] >= 5 and sizes[False, False] >= 5
+    assert sizes[False, True] >= 2
 
 
 # --- memoized assembly ----------------------------------------------------
