@@ -27,9 +27,10 @@ shared successor tables.  The relation is one int bit row of right
 states per left state, so a clause test is a mask operation instead of
 a loop over successor pairs (the bit-parallel idea of Henzinger,
 Henzinger & Kopke, FOCS 1995, with the pair-by-pair deletion order
-kept).  Each deletion is logged as a tuple of integers; state names,
-``_Deletion`` records and their candidate pairs are built only for the
-pairs a counterexample looks up, so a check that holds names nothing.
+kept); ``PairRelation`` holds such rows.  Each deletion is logged as a
+tuple of integers; state names, ``_Deletion`` records and their
+candidate pairs are built only for the pairs a counterexample looks
+up, so a check that holds names nothing.
 """
 
 from __future__ import annotations
@@ -105,33 +106,6 @@ NAMED_KINDS = {
     "ucsim": RelationKind.uc_simulation,
     "ucrsim": RelationKind.ucr_simulation,
 }
-
-
-@dataclass(frozen=True)
-class PairRelation:
-    """A set of (state of ``left``, state of ``right``) pairs."""
-
-    left: Automaton
-    right: Automaton
-    pairs: frozenset[tuple[str, str]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
-        for x, z in self.pairs:
-            if x not in self.left.state_index:
-                raise UniverseMismatch(f"state {x!r} not in the left automaton")
-            if z not in self.right.state_index:
-                raise UniverseMismatch(f"state {z!r} not in the right automaton")
-
-    def __contains__(self, pair) -> bool:
-        return pair in self.pairs
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def sorted_pairs(self) -> tuple[tuple[str, str], ...]:
-        li, ri = self.left.state_index, self.right.state_index
-        return tuple(sorted(self.pairs, key=lambda p: (li[p[0]], ri[p[1]])))
 
 
 @dataclass(frozen=True)
@@ -235,30 +209,57 @@ def _pair_indices(left: Automaton, right: Automaton, pair) -> tuple[int, int] | 
         return None
 
 
-class AlivePairs(Set):
-    """Named, read-only view of the pairs a refinement kept.
+class PairRelation(Set):
+    """A read-only set of (state of ``left``, state of ``right``) pairs.
 
-    Membership and size read the bit rows directly; iteration names the
-    pairs in (left index, right index) order.  The view holds the
-    automata and the rows, not the refinement, so it keeps no cycle
-    alive.
+    ``rows[x]`` is the bit mask of right states paired with left state
+    ``x``.  Built from named pairs, converted once, or by ``refine``
+    from its rows (``from_rows``), naming nothing.  Iteration names the
+    pairs in (left index, right index) order.  Equal to a plain set of
+    the same named pairs, and hashes like it.  It holds the automata
+    and the rows, not a refinement, so it keeps no cycle alive.
     """
 
-    def __init__(self, left: Automaton, right: Automaton, rows: list[int]):
-        self._left, self._right, self._rows = left, right, rows
+    def __init__(self, left: Automaton, right: Automaton, pairs):
+        li, ri = left.state_index, right.state_index
+        rows = [0] * left.n_states
+        for x, z in pairs:
+            if x not in li:
+                raise UniverseMismatch(f"state {x!r} not in the left automaton")
+            if z not in ri:
+                raise UniverseMismatch(f"state {z!r} not in the right automaton")
+            rows[li[x]] |= 1 << ri[z]
+        self.left, self.right, self.rows = left, right, tuple(rows)
+
+    @classmethod
+    def from_rows(cls, left: Automaton, right: Automaton, rows) -> "PairRelation":
+        rel = cls.__new__(cls)
+        rel.left, rel.right, rel.rows = left, right, tuple(rows)
+        return rel
 
     def __contains__(self, pair) -> bool:
-        ij = _pair_indices(self._left, self._right, pair)
-        return ij is not None and bool(self._rows[ij[0]] >> ij[1] & 1)
+        ij = _pair_indices(self.left, self.right, pair)
+        return ij is not None and bool(self.rows[ij[0]] >> ij[1] & 1)
 
     def __len__(self) -> int:
-        return sum(row.bit_count() for row in self._rows)
+        return sum(row.bit_count() for row in self.rows)
 
     def __iter__(self):
-        xs, zs = self._left.states, self._right.states
-        for xi, row in enumerate(self._rows):
+        xs, zs = self.left.states, self.right.states
+        for xi, row in enumerate(self.rows):
             for zi in _bits(row):
                 yield xs[xi], zs[zi]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PairRelation):
+            same = (self.left, self.right) == (other.left, other.right)
+            return same and self.rows == other.rows
+        return Set.__eq__(self, other)
+
+    __hash__ = Set._hash
+
+    def __repr__(self) -> str:
+        return f"PairRelation({list(self)!r})"
 
 
 class DeletionReasons(Mapping):
@@ -267,7 +268,7 @@ class DeletionReasons(Mapping):
     Maps each deleted pair to its ``_Deletion`` record, in deletion
     order.  A record, with its state names and candidate witnesses, is
     built only when its pair is looked up, and then kept; size and
-    membership name nothing.  Like ``AlivePairs``, it holds the log,
+    membership name nothing.  Like ``PairRelation``, it holds the log,
     not the refinement.
     """
 
@@ -323,23 +324,17 @@ class DeletionReasons(Mapping):
 class RefineResult:
     """Greatest relation for a kind's clauses, with its deletion log.
 
-    ``rows[x]`` is the bit mask of right states still related to left
-    state ``x``.  Each deletion is logged as integers, in deletion order,
-    as (pair code ``x * |right| + z``, clause, event index, successor
-    index); ``reasons`` names a deletion, with its candidate witnesses,
-    only when its pair is looked up.
+    ``alive`` is the relation, over the refinement's bit rows.  Each
+    deletion is logged as integers, in deletion order, as (pair code
+    ``x * |right| + z``, clause, event index, successor index);
+    ``reasons`` names a deletion, with its candidate witnesses, only
+    when its pair is looked up.
     """
 
     def __init__(self, left: Automaton, right: Automaton, rows: list[int], log: list):
-        self.left, self.right = left, right
-        self.rows = rows
-        self._log = log
         self.deletions = len(log)
-        self.alive = AlivePairs(left, right, rows)
+        self.alive = PairRelation.from_rows(left, right, rows)
         self.reasons = DeletionReasons(left, right, log)
-
-    def relation(self) -> PairRelation:
-        return PairRelation(self.left, self.right, frozenset(self.alive))
 
     def root_cause(self, pair: tuple[str, str]) -> Counterexample:
         """Walk the deletion cascade from ``pair`` to an intrinsic violation."""
@@ -477,7 +472,7 @@ def greatest_relation(a: Automaton, b: Automaton, kind: RelationKind) -> PairRel
     Well defined because these clauses are preserved under union of
     relations; the initial-state conditions play no role here.
     """
-    return refine(a, b, kind).relation()
+    return refine(a, b, kind).alive
 
 
 def clause_violations(
@@ -490,42 +485,60 @@ def clause_violations(
     """
     a, b = rel.left, rel.right
     out = []
-    for x, z in rel.sorted_pairs():
+    for x, z in rel:
         for ev in a.alphabet.events:
             if ev in kind.forward_events:
                 for x1 in a.successors(x, ev):
-                    if not any((x1, z1) in rel.pairs for z1 in b.successors(z, ev)):
+                    if not any((x1, z1) in rel for z1 in b.successors(z, ev)):
                         out.append(((x, z), FORWARD, ev, x1))
             if ev in kind.backward_events:
                 for z1 in b.successors(z, ev):
-                    if not any((x1, z1) in rel.pairs for x1 in a.successors(x, ev)):
+                    if not any((x1, z1) in rel for x1 in a.successors(x, ev)):
                         out.append(((x, z), BACKWARD, ev, z1))
     return out
 
 
+def unpaired_initial(rel: PairRelation, inverse: bool = False):
+    """The first initial state that ``rel`` pairs with no initial state.
+
+    Scans the left automaton's initial states, or the right one's when
+    ``inverse``, on the bit rows.  Returns None when each is paired;
+    otherwise the state and the pairs that would have paired it.
+    """
+    a, b = rel.left, rel.right
+    rows = [rel.rows[a.state_index[x0]] for x0 in a.initial]
+    bits = [1 << b.state_index[z0] for z0 in b.initial]
+    if inverse:
+        for z0, bit in zip(b.initial, bits):
+            if not any(row & bit for row in rows):
+                return z0, [(x0, z0) for x0 in a.initial]
+    else:
+        for x0, row in zip(a.initial, rows):
+            if not any(row & bit for bit in bits):
+                return x0, [(x0, z0) for z0 in b.initial]
+    return None
+
+
 def initial_condition(phi: PairRelation) -> bool:
     """Every left-initial state is paired with some right-initial state."""
-    return all(
-        any((x0, z0) in phi.pairs for z0 in phi.right.initial)
-        for x0 in phi.left.initial
-    )
+    return unpaired_initial(phi) is None
 
 
 def inverse_initial_condition(phi: PairRelation) -> bool:
-    return all(
-        any((x0, z0) in phi.pairs for x0 in phi.left.initial)
-        for z0 in phi.right.initial
-    )
+    return unpaired_initial(phi, inverse=True) is None
 
 
-def initial_cascade(res: RefineResult, cands, note: str) -> Counterexample:
+def initial_cascade(res: RefineResult, unpaired, note: str) -> Counterexample:
     """Cascade of an initial state that lost every candidate pairing.
 
-    Every pair in ``cands`` was deleted; the earliest-deleted one is
-    traced, so the cascade is deterministic, and ``note`` is attached.
+    ``unpaired`` is what ``unpaired_initial`` found: the state and its
+    candidate pairs, every one deleted.  The earliest-deleted one is
+    traced, so the cascade is deterministic, and ``note``, followed by
+    the state, is attached.
     """
+    state, cands = unpaired
     first = min(cands, key=lambda c: res.reasons[c].time)
-    return replace(res.root_cause(first), note=note)
+    return replace(res.root_cause(first), note=f"{note} {state}")
 
 
 def initial_counterexample(
@@ -535,25 +548,15 @@ def initial_counterexample(
 
     Returns None when they hold; otherwise the deletion cascade of the
     first initial state that lost every pairing.  Reads only
-    ``res.left``, ``res.right``, ``res.alive`` and ``res.reasons``.
+    ``res.alive`` and ``res.reasons``.
     """
-    a, b = res.left, res.right
-    if kind.check_initial:
-        for x0 in a.initial:
-            if not any((x0, z0) in res.alive for z0 in b.initial):
-                return initial_cascade(
-                    res,
-                    [(x0, z0) for z0 in b.initial],
-                    f"no pairing survives for initial state {x0}",
-                )
-    if kind.check_inverse_initial:
-        for z0 in b.initial:
-            if not any((x0, z0) in res.alive for x0 in a.initial):
-                return initial_cascade(
-                    res,
-                    [(x0, z0) for x0 in a.initial],
-                    f"no pairing survives for specification initial state {z0}",
-                )
+    hit = kind.check_initial and unpaired_initial(res.alive)
+    if hit:
+        return initial_cascade(res, hit, "no pairing survives for initial state")
+    hit = kind.check_inverse_initial and unpaired_initial(res.alive, inverse=True)
+    if hit:
+        note = "no pairing survives for specification initial state"
+        return initial_cascade(res, hit, note)
     return None
 
 
@@ -570,7 +573,7 @@ def holds(
     cx = initial_counterexample(res, kind)
     if cx is not None:
         return False, cx
-    return True, res.relation()
+    return True, res.alive
 
 
 def is_admissible(
@@ -682,14 +685,12 @@ def is_uniform(phi: PairRelation, g: Automaton, r: Automaton) -> bool:
     while queue:
         quad = queue.popleft()
         x1, x2, z1, z2 = quad
-        if (x1, z1) in phi.pairs and (x2, z2) in phi.pairs:
+        if (x1, z1) in phi and (x2, z2) in phi:
             for ev in req:
                 if not r.enables(z1, ev):
                     continue
                 for x2p in g.successors(x2, ev):
-                    if not any(
-                        (x2p, z2p) in phi.pairs for z2p in r.successors(z2, ev)
-                    ):
+                    if not any((x2p, z2p) in phi for z2p in r.successors(z2, ev)):
                         return False
         for ev in g.alphabet.events:
             for a1 in g.successors(x1, ev):

@@ -54,6 +54,7 @@ from .relations import (
     is_cc_simulation,
     product_admissibility,
     refine,
+    unpaired_initial,
 )
 
 Pair = tuple[str, str]
@@ -161,7 +162,6 @@ class _FamilyContext:
         self.universe = tuple(universe)
         self.n = len(self.universe)
         self.full = (1 << self.n) - 1
-        self.index: dict[Pair, int] = {}
         gi, ri = g.state_index, r.state_index
         row = [0] * g.n_states
         col = [0] * r.n_states
@@ -170,7 +170,6 @@ class _FamilyContext:
             xi, zi = gi.get(x), ri.get(z)
             if xi is None or zi is None:
                 raise UniverseMismatch(f"pair ({x!r}, {z!r}) outside the automata")
-            self.index[(x, z)] = i
             row[xi] |= 1 << i
             col[zi] |= 1 << i
             codes.append((xi, zi))
@@ -410,12 +409,9 @@ def solvability_counterexample(
     if fix.solvable():
         return None
     res = fix.universe_refinement
-    for x0 in g.initial:
-        cands = [(x0, z0) for z0 in r.initial]
-        if not any(c in res.alive for c in cands):
-            return initial_cascade(
-                res, cands, f"no admissible pairing for initial state {x0}"
-            )
+    hit = unpaired_initial(res.alive)
+    if hit:
+        return initial_cascade(res, hit, "no admissible pairing for initial state")
     remaining = list(fix.antichain)
     for x0idx, x0 in enumerate(g.initial):
         mask = fix.ctx.istate_masks[x0idx]
@@ -617,7 +613,7 @@ def extract_family(
             raise NotCcSimulation("supplied relation violates a clause")
     assert prod.pair_of is not None
     theta: dict[str, set[Pair]] = {y: set() for y in s.states}
-    for pid, z in phi.pairs:
+    for pid, z in phi:
         comp = prod.pair_of[pid]
         theta[comp.left].add((comp.right, z))
     return PairSetFamily.over(g, r, [frozenset(v) for v in theta.values()])

@@ -70,9 +70,9 @@ def match_predicate(w: PairRelation, event: str, w2: PairRelation) -> bool:
     if (w.left, w.right) != (w2.left, w2.right):
         raise UniverseMismatch("both relations must range over the same automata")
     g, r = w.left, w.right
-    for x, z in w.pairs:
+    for x, z in w:
         for x1 in g.successors(x, event):
-            if not any((x1, z1) in w2.pairs for z1 in r.successors(z, event)):
+            if not any((x1, z1) in w2 for z1 in r.successors(z, event)):
                 return False
     return True
 

@@ -29,6 +29,7 @@ from ccsynth.relations import (
     BACKWARD,
     FORWARD,
     Counterexample,
+    PairRelation,
     RefineResult,
     RelationKind,
     _Deletion,
@@ -46,17 +47,15 @@ from ccsynth.testkit import member_passes
 
 @dataclass
 class PairwiseRefineResult:
-    """``refine``'s result as the pair-by-pair engine builds it: named
-    alive pairs and every deletion reason, built eagerly."""
+    """``refine``'s result as the pair-by-pair engine builds it: the
+    relation converted from named alive pairs and every deletion reason,
+    built eagerly."""
 
-    left: Automaton
-    right: Automaton
-    alive: set[tuple[str, str]]
+    alive: PairRelation
     reasons: dict[tuple[str, str], _Deletion] = field(default_factory=dict)
     deletions: int = 0
 
-    # The cascade walk and the relation read only ``alive`` and ``reasons``.
-    relation = RefineResult.relation
+    # The cascade walk reads only ``reasons``.
     root_cause = RefineResult.root_cause
 
 
@@ -149,13 +148,15 @@ def pairwise_refine(
         if hit is not None:
             kill(pid, hit)
 
-    alive_pairs = {
+    alive_pairs = [
         (a.states[pid // nb], b.states[pid % nb]) for pid in range(n) if alive[pid]
-    }
+    ]
     named_reasons = {
         (a.states[pid // nb], b.states[pid % nb]): d for pid, d in reasons.items()
     }
-    return PairwiseRefineResult(a, b, alive_pairs, named_reasons, deletions=clock)
+    return PairwiseRefineResult(
+        PairRelation(a, b, alive_pairs), named_reasons, deletions=clock
+    )
 
 
 def named_sync_product(s: Automaton, g: Automaton, *, full: bool = False) -> Automaton:
@@ -323,9 +324,8 @@ def named_family_context(
 
     The oracle for the context built from per-state universe masks:
     every mask is assembled from a lookup of each candidate pair.  The
-    namespace holds ``_FamilyContext``'s fields ``index``,
-    ``uc_events``, ``forward``, ``backward``, ``istate_masks`` and
-    ``initial_mask``.
+    namespace holds ``_FamilyContext``'s fields ``uc_events``,
+    ``forward``, ``backward``, ``istate_masks`` and ``initial_mask``.
     """
     require_same_alphabet(g, r)
     index: dict[tuple[str, str], int] = {}
@@ -358,7 +358,6 @@ def named_family_context(
         forward.append(fwd)
         backward.append(bwd)
     return SimpleNamespace(
-        index=index,
         uc_events=[e for e in ab.events if e in ab.uncontrollable],
         forward=forward,
         backward=backward,
@@ -391,13 +390,14 @@ def submask_edge_targets(
     ``w``'s paired moves reach, kept when it matches all of ``w``'s
     moves; the oracle for the hitting-set enumeration in assembly.
     """
+    index = {p: i for i, p in enumerate(ctx.universe)}
     post = 0
     for i in ctx.bits(w):
         x, z = ctx.universe[i]
         zs = ctx.r.successors(z, ev)
         for x1 in ctx.g.successors(x, ev):
             for z1 in zs:
-                j = ctx.index.get((x1, z1))
+                j = index.get((x1, z1))
                 if j is not None:
                     post |= 1 << j
     cand: set[int] = set()

@@ -201,8 +201,8 @@ def test_c07_oracle_equivalence_all_kinds():
                 RelationKind.ucr_simulation(ab),
             )
             if all(
-                brute_greatest_relation(g, r, k).pairs
-                == greatest_relation(g, r, k).pairs
+                brute_greatest_relation(g, r, k)
+                == greatest_relation(g, r, k)
                 for k in kinds
             ):
                 agreements += 1

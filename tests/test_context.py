@@ -15,6 +15,7 @@ import pytest
 
 from ccsynth import (
     Automaton,
+    PairRelation,
     UniverseMismatch,
     build_supervisor,
     is_controllability_family,
@@ -39,7 +40,6 @@ from oracles import named_family_context
 from test_acceptance import sweep
 
 FIELDS = (
-    "index",
     "uc_events",
     "forward",
     "backward",
@@ -113,11 +113,16 @@ def test_context_fields_agree_with_named_builder():
 
 def test_context_rejects_pairs_outside_the_automata():
     g, r = diamond_g(), diamond_r()
-    for bad in [(("nowhere", r.states[0]),), ((g.states[0], "nowhere"),)]:
+    foreign = [(("nowhere", r.states[0]), "left"), ((g.states[0], "nowhere"), "right")]
+    for pair, side in foreign:
+        bad = (pair,)
         with pytest.raises(UniverseMismatch):
             _FamilyContext(g, r, bad)
         with pytest.raises(UniverseMismatch):
             named_family_context(g, r, bad)
+        message = f"^state 'nowhere' not in the {side} automaton$"
+        with pytest.raises(UniverseMismatch, match=message):
+            PairRelation(g, r, bad)
 
 
 def test_good_mask_agrees_with_per_pair_check():

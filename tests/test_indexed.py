@@ -91,7 +91,7 @@ def assert_same_verdict(monkeypatch, a, b, kind):
     ok_o, result_o = oracle_holds(monkeypatch, a, b, kind)
     assert ok == ok_o
     if ok:
-        assert result.pairs == result_o.pairs
+        assert result == result_o
     else:
         assert result.to_json() == result_o.to_json()
 
@@ -285,6 +285,26 @@ def test_nothing_is_named_on_success(monkeypatch):
     res = relations.refine(prod, scanner_r(), RelationKind.cc_simulation(prod.alphabet))
     assert res.deletions > 0 and _CountingDeletion.built == 0
 
+    # A passing ``holds`` returns the refinement's rows as the relation:
+    # it iterates no relation and names no deletion.
+    iterated = []
+    real_iter = relations.PairRelation.__iter__
+
+    def counting_iter(rel):
+        iterated.append(rel)
+        return real_iter(rel)
+
+    monkeypatch.setattr(relations.PairRelation, "__iter__", counting_iter)
+    passing = [
+        (prod, scanner_r(), RelationKind.simulation(prod.alphabet)),
+        (sync_product(sup, g), r, kind),
+    ]
+    for a, b, k in passing:
+        ok, witness = holds(a, b, k)
+        assert ok and isinstance(witness, relations.PairRelation)
+        assert relations.refine(a, b, k).deletions > 0
+    assert iterated == [] and _CountingDeletion.built == 0
+
     ok, cx = holds(prod, scanner_r(), RelationKind.cc_simulation(prod.alphabet))
     assert not ok
     assert _CountingDeletion.built > 0
@@ -365,9 +385,10 @@ def test_views_answer_like_frozen_copies(seed, drawn):
         res = relations.refine(g, r, kind)
         frozen = relations.refine(g, r, kind)
         alive, reasons = frozenset(frozen.alive), dict(frozen.reasons)
+        named = relations.PairRelation(g, r, alive)
         malformed = [("x0",), None, ("x0", "z0", "z0")]
         for probe in drawn + list(alive) + list(reasons) + malformed:
-            assert (probe in res.alive) == (probe in alive), probe
+            assert (probe in res.alive) == (probe in alive) == (probe in named), probe
             assert (probe in res.reasons) == (probe in reasons), probe
             if probe in reasons:
                 assert res.reasons[probe] == reasons[probe]
@@ -377,6 +398,11 @@ def test_views_answer_like_frozen_copies(seed, drawn):
         assert len(res.reasons) == len(reasons) == res.deletions
         assert list(res.reasons) == list(reasons)
         assert res.reasons == reasons and reasons == res.reasons
+        # A relation converted from named pairs is the refinement's.
+        assert named == res.alive and named == alive and alive == named
+        assert list(named) == list(res.alive)
+        assert named.rows == res.alive.rows
+        assert hash(named) == hash(alive) == hash(res.alive)
 
 
 class _ChunkLog(deque):

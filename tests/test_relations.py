@@ -99,15 +99,15 @@ def test_match_monotone_in_target_antitone_in_source():
 def test_ladder_ucr_relation_frozen_value():
     g, r = ladder_g(), ladder_r()
     out = greatest_relation(g, r, RelationKind.ucr_simulation(g.alphabet))
-    assert out.pairs == LADDER_UCR_RELATION
+    assert out == LADDER_UCR_RELATION
     # the hand-built witness must be contained in the greatest relation
-    assert {("x0", "z0"), ("x1", "z1"), ("x3", "z2")} <= out.pairs
+    assert {("x0", "z0"), ("x1", "z1"), ("x3", "z2")} <= out
 
 
 def test_greatest_relation_contains_identity_on_same_automaton():
     g = scanner_g()
     out = greatest_relation(g, g, RelationKind.simulation(g.alphabet))
-    assert {(s, s) for s in g.states} <= out.pairs
+    assert {(s, s) for s in g.states} <= out
 
 
 def test_greatest_relation_is_fixed_point():
@@ -127,7 +127,7 @@ def test_scanner_cc_relation_excludes_losing_branch():
     g, r, s = scanner_g(), scanner_r(), scanner_s()
     prod = sync_product(s, g)
     out = greatest_relation(prod, r, RelationKind.cc_simulation(r.alphabet))
-    assert ("(y2,x3)", "z2") not in out.pairs
+    assert ("(y2,x3)", "z2") not in out
     assert not initial_condition(out)
 
 
@@ -172,14 +172,14 @@ def test_holds_scanner_plain_simulation():
     prod = sync_product(s, g)
     ok, witness = holds(prod, r, RelationKind.simulation(r.alphabet))
     assert ok
-    assert ("(y2,x3)", "z2") in witness.pairs
+    assert ("(y2,x3)", "z2") in witness
 
 
 def test_holds_bisimulation_reflexive():
     g = scanner_g()
     ok, witness = holds(g, g, RelationKind.bisimulation(g.alphabet))
     assert ok
-    assert {(s, s) for s in g.states} <= witness.pairs
+    assert {(s, s) for s in g.states} <= witness
 
 
 def test_holds_ladder_ucr_true():

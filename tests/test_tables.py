@@ -276,8 +276,9 @@ def test_subsupervisors_match_the_named_enumeration():
 
 def assert_assembly_matches_edge_targets(fix, sup):
     ctx, chain, aut = fix.ctx, fix.antichain, sup.automaton
+    index = {p: i for i, p in enumerate(ctx.universe)}
     mask_of = {
-        name: sum(1 << ctx.index[p] for p in pairs)
+        name: sum(1 << index[p] for p in pairs)
         for name, pairs in sup.members.items()
     }
     name_of = {m: name for name, m in mask_of.items()}
@@ -345,7 +346,8 @@ def test_product_admissibility_matches_is_admissible_on_random_pairs():
 
 def count_named_checks(monkeypatch) -> Counter:
     """Calls of the checks ``verify_solution`` may make, and relations
-    built, from now on."""
+    built from named pairs (``PairRelation``) or from rows (``from_rows``)
+    and iterated (``iter``), from now on."""
     calls = Counter()
 
     def counting(name, fn):
@@ -360,6 +362,15 @@ def count_named_checks(monkeypatch) -> Counter:
             calls["PairRelation"] += 1
             super().__init__(*args, **kwargs)
 
+        @classmethod
+        def from_rows(cls, *args):
+            calls["from_rows"] += 1
+            return super().from_rows(*args)
+
+        def __iter__(self):
+            calls["iter"] += 1
+            return super().__iter__()
+
     monkeypatch.setattr(relations, "PairRelation", CountingRelation)
     for name in ("sync_product", "refine", "is_admissible", "holds"):
         monkeypatch.setattr(synthesis, name, counting(name, getattr(synthesis, name)))
@@ -373,7 +384,7 @@ def test_passing_verification_names_no_relation(monkeypatch):
     for g, r, _fix, _reachable, sup in solvable_supervisors(pairs):
         calls.clear()
         assert verify_solution(sup.automaton, g, r).overall
-        assert calls == Counter(sync_product=1, refine=1)
+        assert calls == Counter(sync_product=1, refine=1, from_rows=1)
         checked += 1
     assert checked >= 5
 
@@ -382,7 +393,7 @@ def test_failing_verification_keeps_the_named_counterexamples(monkeypatch):
     calls = count_named_checks(monkeypatch)
     rep = verify_solution(scanner_s(), scanner_g(), scanner_r())
     assert rep.admissible and not rep.cc_simulated
-    assert calls == Counter(sync_product=1, refine=1)
+    assert calls == Counter(sync_product=1, refine=1, from_rows=1)
     cx = rep.cc_counterexample
     pinned = ("(y2,x3)", "z2", "cancel", "z4")
     assert (cx.left, cx.right, cx.event, cx.successor) == pinned
@@ -395,7 +406,7 @@ def test_failing_verification_keeps_the_named_counterexamples(monkeypatch):
             break
     else:
         raise AssertionError("no inadmissible mutant")
-    assert calls == Counter(sync_product=1, refine=1)
+    assert calls == Counter(sync_product=1, refine=1, from_rows=1)
     assert rep.admissibility_counterexample == is_admissible(mutant, g)[1]
 
 
