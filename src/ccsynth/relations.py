@@ -21,6 +21,8 @@ union, so a unique greatest one exists; it is computed by deleting
 violating pairs from the full product until stable.  Deletions are
 logged so that a failed check can be explained by walking the deletion
 cascade down to a pair whose obligation has no candidate witness at all.
+A relation given from elsewhere is checked against the same clauses by
+one sweep over its rows (``clauses_hold``), with no deletion.
 
 Representation: the engine works on state indices and the automata's
 shared successor tables.  The relation is one int bit row of right
@@ -38,6 +40,9 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Mapping, Set
 from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import chain
+from operator import or_
 
 from .automata import Automaton, require_same_alphabet, sync_product
 from .errors import CapExceeded, UniverseMismatch
@@ -498,6 +503,60 @@ def clause_violations(
     return out
 
 
+def clauses_hold(rel: PairRelation, kind: RelationKind) -> bool:
+    """Does ``rel`` satisfy the kind's forward and backward clauses?
+
+    The same answer as ``clause_violations(rel, kind) == []``, from one
+    sweep over the bit rows: nothing is deleted, queued or named.  Left
+    states are grouped by their row, and each clause is tested once per
+    distinct row against the successors of its left states.
+
+    Forward, per event: ``good[v]`` holds the right states with a move
+    into row ``v``.  A left state's moves are matched when its row lies
+    inside ``good`` of each successor's row, so no successor may be one
+    of the left states whose row's ``good`` lacks part of it.  Backward,
+    per event: the right states a row's states move to must lie in the
+    OR of the rows of the left state's successors, which is accumulated
+    until it covers them.
+    """
+    a, b = rel.left, rel.right
+    require_same_alphabet(a, b)
+    holding: dict[int, list[int]] = {}
+    for xi, row in enumerate(rel.rows):
+        holding.setdefault(row, []).append(xi)
+    live = [(row, xis) for row, xis in holding.items() if row]
+    for ev, sa, sb in zip(a.alphabet.events, a.successor_table, b.successor_table):
+        forward, backward = ev in kind.forward_events, ev in kind.backward_events
+        if not (forward or backward):
+            continue
+        smb = [sum(1 << z1 for z1 in zs) for zs in sb]
+        if forward:
+            moving = [(1 << zi, m) for zi, m in enumerate(smb) if m]
+            good = {v: sum(bit for bit, m in moving if m & v) for v in holding}
+            for row, xis in live:
+                unmatched = frozenset(
+                    chain.from_iterable(
+                        ys for v, ys in holding.items() if row & ~good[v]
+                    )
+                )
+                succs = map(sa.__getitem__, xis)
+                if unmatched and not all(map(unmatched.isdisjoint, succs)):
+                    return False
+        if backward:
+            rows = rel.rows
+            for row, xis in live:
+                need = reduce(or_, map(smb.__getitem__, _bits(row)))
+                for xi in xis:
+                    covered = 0
+                    for x1 in sa[xi]:
+                        if not need & ~covered:
+                            break
+                        covered |= rows[x1]
+                    if need & ~covered:
+                        return False
+    return True
+
+
 def unpaired_initial(rel: PairRelation, inverse: bool = False):
     """The first initial state that ``rel`` pairs with no initial state.
 
@@ -709,6 +768,4 @@ def is_cc_simulation(s_times_g: Automaton, r: Automaton, phi: PairRelation) -> b
     if (phi.left, phi.right) != (s_times_g, r):
         return False
     kind = RelationKind.cc_simulation(r.alphabet)
-    if clause_violations(phi, kind):
-        return False
-    return initial_condition(phi)
+    return clauses_hold(phi, kind) and initial_condition(phi)

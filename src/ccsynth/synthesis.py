@@ -28,6 +28,7 @@ member enumeration in the test suite.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -466,12 +467,17 @@ class SynthesisOutcome:
         """``verify_solution`` on the supervisor, run on first read.
 
         Verification takes most of the time and memory of a large
-        synthesis, so a caller can write the supervisor out first.
+        synthesis, so a caller can write the supervisor out first.  The
+        supervisor's members are passed as the witness: the paper's
+        sufficiency construction.  They only spare the refinement when
+        they pass the clause sweep, so a synthesis bug that corrupts
+        them costs time, never a wrong verdict.
         """
         if self.supervisor is None:
             return None
         ctx = self.fixpoint.ctx
-        return verify_solution(self.supervisor.automaton, ctx.g, ctx.r)
+        sup = self.supervisor
+        return verify_solution(sup.automaton, ctx.g, ctx.r, witness=sup.members)
 
     @property
     def iterations(self) -> int:
@@ -619,24 +625,75 @@ def extract_family(
     return PairSetFamily.over(g, r, [frozenset(v) for v in theta.values()])
 
 
-def verify_solution(s: Automaton, g: Automaton, r: Automaton) -> VerificationReport:
+def _witness_relation(
+    s: Automaton, g: Automaton, r: Automaton, prod: Automaton, witness
+) -> PairRelation | None:
+    """Φ = {((y, x), z) : (x, z) ∈ witness[y]} over ``prod``'s states.
+
+    ``prod`` is ``sync_product(s, g)``; each product state's row is read
+    through ``prod.pair_of``.  A supervisor state the witness leaves out
+    gets empty rows.  None when the witness names a supervisor, plant or
+    specification state that ``s``, ``g`` or ``r`` does not declare.
+    """
+    gi, ri = g.state_index, r.state_index
+    by_state: dict[str, dict[str, int]] = {}
+    for y, pairs in witness.items():
+        if y not in s.state_index:
+            return None
+        cols = by_state[y] = {}
+        for x, z in pairs:
+            if x not in gi or z not in ri:
+                return None
+            cols[x] = cols.get(x, 0) | 1 << ri[z]
+    empty: dict[str, int] = {}
+    pair_of = prod.pair_of
+    rows = []
+    for name in prod.states:
+        y, x = pair_of[name]
+        rows.append(by_state.get(y, empty).get(x, 0))
+    return PairRelation.from_rows(prod, r, rows)
+
+
+def verify_solution(
+    s: Automaton,
+    g: Automaton,
+    r: Automaton,
+    witness: Mapping[str, Iterable[Pair]] | None = None,
+) -> VerificationReport:
     """Independent membership test for candidate supervisors.
 
     Checks admissibility and the covariant-contravariant simulation of
     the supervised system by the specification; shares nothing with the
-    family machinery.  One product walk and one refinement answer both
-    conditions, passing or failing: admissibility and its counterexample
-    are read off the product, and the simulation's initial condition and
-    its counterexample off the refinement, which names states only when
-    it failed.  The counterexamples are those of ``is_admissible`` and
-    ``holds`` on their own.
+    family machinery.  One product walk answers admissibility, and its
+    counterexample is read off the product.
+
+    ``witness`` maps supervisor states to pairs of plant and
+    specification states, as ``SupervisorAutomaton.members`` does.  When
+    given, the relation Φ = {((y, x), z) : (x, z) ∈ witness[y]} is
+    checked against the simulation's clauses and initial condition in
+    one sweep over its bit rows (``is_cc_simulation``).  A relation that
+    passes lies inside the greatest simulation, wherever it came from,
+    so its pass proves the simulation and no refinement runs.  A witness
+    whose Φ is not a simulation fails the sweep, so a wrong witness can
+    only cause a fallback to the refinement, never a wrong "yes".  A
+    witness naming undeclared states falls back too, as does a call
+    without a witness.
+
+    The refinement decides the simulation and names its counterexample
+    off the deletion log.  Verdicts and counterexamples are those of
+    ``is_admissible`` and ``holds`` on their own, with or without a
+    witness.
     """
     require_same_alphabet(s, g)
     require_same_alphabet(g, r)
     prod = sync_product(s, g)
     kind = RelationKind.cc_simulation(r.alphabet)
     admissible, acx = product_admissibility(prod, g)
-    ccx = initial_counterexample(refine(prod, r, kind), kind)
+    phi = None if witness is None else _witness_relation(s, g, r, prod, witness)
+    if phi is not None and is_cc_simulation(prod, r, phi):
+        ccx = None
+    else:
+        ccx = initial_counterexample(refine(prod, r, kind), kind)
     return VerificationReport(
         admissible=admissible,
         cc_simulated=ccx is None,

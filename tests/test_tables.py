@@ -4,8 +4,9 @@ Supervisors and products keep only their integer successor table, and
 ``transitions`` is a view of it that must behave like the sorted tuple
 of named triples it replaces.  Assembly finds edge targets once per
 set of obligations, and ``verify_solution`` takes every verdict and
-counterexample from one product walk and one refinement; each is
-checked here against the code it replaced.
+counterexample from one product walk and one refinement, or, given a
+witness that passes, from the product walk alone; each is checked here
+against the code it replaced.
 """
 
 import dataclasses
@@ -408,6 +409,39 @@ def test_failing_verification_keeps_the_named_counterexamples(monkeypatch):
         raise AssertionError("no inadmissible mutant")
     assert calls == Counter(sync_product=1, refine=1, from_rows=1)
     assert rep.admissibility_counterexample == is_admissible(mutant, g)[1]
+
+
+def test_passing_synthesized_verification_runs_no_refinement(monkeypatch):
+    calls = count_named_checks(monkeypatch)
+    pairs = [(diamond_g(), diamond_r())] + list(c08_sweep(20))
+    checked = 0
+    for g, r in pairs:
+        out = synthesize(g, r)
+        if not out.solvable:
+            continue
+        calls.clear()
+        assert out.report.overall
+        assert calls == Counter(sync_product=1)
+        checked += 1
+    assert checked >= 5
+
+
+def test_failing_witnessed_verification_makes_the_witness_free_calls(monkeypatch):
+    calls = count_named_checks(monkeypatch)
+    mutants = (
+        (mutant, g, r, sup)
+        for g, r, _fix, _reachable, sup in solvable_supervisors(c08_sweep(), 5_000)
+        for mutant in enumerate_subsupervisors(sup, 40)
+    )
+    for mutant, g, r, sup in mutants:
+        calls.clear()
+        rep = verify_solution(mutant, g, r, witness=sup.members)
+        if not rep.cc_simulated:
+            break
+    else:
+        raise AssertionError("no mutant fails the simulation")
+    assert calls == Counter(sync_product=1, refine=1, from_rows=1)
+    assert rep.cc_counterexample == verify_solution(mutant, g, r).cc_counterexample
 
 
 # --- memory ------------------------------------------------------------------
