@@ -485,8 +485,10 @@ def clause_violations(
 ) -> list[tuple[tuple[str, str], str, str, str]]:
     """All forward/backward clause violations of ``rel`` against itself.
 
-    Empty iff ``rel`` satisfies the kind's clauses; used to confirm that
-    refinement output is a fixed point and to vet user-supplied relations.
+    Empty iff ``rel`` satisfies the kind's clauses.  Names every
+    violation, pair by pair: tests hold refinement output and
+    ``clauses_hold`` to it, and the benchmark's manifest script vets its
+    witnesses with it.
     """
     a, b = rel.left, rel.right
     out = []
@@ -519,10 +521,10 @@ def clauses_hold(rel: PairRelation, kind: RelationKind) -> bool:
     OR of the rows of the left state's successors, which is accumulated
     until it covers them.
     """
-    a, b = rel.left, rel.right
+    a, b, rows = rel.left, rel.right, rel.rows
     require_same_alphabet(a, b)
     holding: dict[int, list[int]] = {}
-    for xi, row in enumerate(rel.rows):
+    for xi, row in enumerate(rows):
         holding.setdefault(row, []).append(xi)
     live = [(row, xis) for row, xis in holding.items() if row]
     for ev, sa, sb in zip(a.alphabet.events, a.successor_table, b.successor_table):
@@ -543,7 +545,6 @@ def clauses_hold(rel: PairRelation, kind: RelationKind) -> bool:
                 if unmatched and not all(map(unmatched.isdisjoint, succs)):
                     return False
         if backward:
-            rows = rel.rows
             for row, xis in live:
                 need = reduce(or_, map(smb.__getitem__, _bits(row)))
                 for xi in xis:

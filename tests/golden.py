@@ -33,7 +33,7 @@ import io
 import json
 import os
 import re
-import sys
+import tempfile
 from pathlib import Path
 
 from ccsynth import InstanceSpec, random_instance, save_automaton
@@ -108,16 +108,16 @@ def instance_digests(workdir: Path, prefix: str, g, r) -> dict[str, str]:
         both(f"check-{kind}", ["check", "--kind", kind, "G.aut", "R.aut"])
     both("solvable", ["solvable", "G.aut", "R.aut"])
     both("uniform", ["uniform", "G.aut", "R.aut"])
-    synth = ["synthesize", "G.aut", "R.aut"]
-    for name, flags in (("-json", ["--json"]), ("-dot", ["--dot", "S.dot"])):
-        out[f"{prefix}/synthesize{name}"] = run(
-            workdir, synth + ["-o", "S.aut"] + flags, ("S.aut", "S.dot")
-        )
+    variants = {"-json": ["--json"], "-dot": ["--dot", "S.dot"]}
     if small_closure(g, r):
-        out[f"{prefix}/synthesize-full"] = run(
-            workdir, synth + ["-o", "S.aut", "--full"], ("S.aut",)
+        variants["-full"] = ["--full"]
+    # Plain comes last: verify and admissible read the S.aut it writes.
+    variants[""] = []
+    synth = ["synthesize", "G.aut", "R.aut", "-o", "S.aut"]
+    for name, flags in variants.items():
+        out[f"{prefix}/synthesize{name}"] = run(
+            workdir, synth + flags, ("S.aut", "S.dot")
         )
-    out[f"{prefix}/synthesize"] = run(workdir, synth + ["-o", "S.aut"], ("S.aut",))
     supervisors = ["S.aut"] if (workdir / "S.aut").exists() else []
     if prefix == "worked/scanner":
         save_automaton(scanner_s(), workdir / "S0.aut")
@@ -126,8 +126,6 @@ def instance_digests(workdir: Path, prefix: str, g, r) -> dict[str, str]:
         tag = "" if sup == "S.aut" else f"-{Path(sup).stem}"
         both(f"verify{tag}", ["verify", sup, "G.aut", "R.aut"])
         both(f"admissible{tag}", ["admissible", sup, "G.aut"])
-    for name in ("S.aut", "S0.aut", "S.dot"):
-        (workdir / name).unlink(missing_ok=True)
     return out
 
 
@@ -146,8 +144,6 @@ def golden_digests(workdir: Path) -> dict[str, str]:
 
 
 def main() -> None:
-    import tempfile
-
     os.environ.pop("CCSYNTH_CAP", None)
     with tempfile.TemporaryDirectory() as tmp:
         new = golden_digests(Path(tmp).resolve())
@@ -160,4 +156,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
