@@ -41,8 +41,7 @@ from collections import deque
 from collections.abc import Mapping, Set
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import chain
-from operator import or_
+from operator import and_, or_
 
 from .automata import Automaton, require_same_alphabet, sync_product
 from .errors import CapExceeded, UniverseMismatch
@@ -509,24 +508,16 @@ def clauses_hold(rel: PairRelation, kind: RelationKind) -> bool:
     """Does ``rel`` satisfy the kind's forward and backward clauses?
 
     The same answer as ``clause_violations(rel, kind) == []``, from one
-    sweep over the bit rows: nothing is deleted, queued or named.  Left
-    states are grouped by their row, and each clause is tested once per
-    distinct row against the successors of its left states.
-
-    Forward, per event: ``good[v]`` holds the right states with a move
-    into row ``v``.  A left state's moves are matched when its row lies
-    inside ``good`` of each successor's row, so no successor may be one
-    of the left states whose row's ``good`` lacks part of it.  Backward,
-    per event: the right states a row's states move to must lie in the
-    OR of the rows of the left state's successors, which is accumulated
-    until it covers them.
+    sweep over the bit rows: nothing is deleted, queued or named.  Per
+    forward event, ``good[x1]`` holds the right states with a move into
+    ``x1``'s row, so a left state's moves are matched when its row lies
+    inside ``good`` of each successor.  Per backward event, a row's right
+    states may move only into the OR of the rows of the left state's
+    successors.
     """
     a, b, rows = rel.left, rel.right, rel.rows
     require_same_alphabet(a, b)
-    holding: dict[int, list[int]] = {}
-    for xi, row in enumerate(rows):
-        holding.setdefault(row, []).append(xi)
-    live = [(row, xis) for row, xis in holding.items() if row]
+    live = [xi for xi, row in enumerate(rows) if row]
     for ev, sa, sb in zip(a.alphabet.events, a.successor_table, b.successor_table):
         forward, backward = ev in kind.forward_events, ev in kind.backward_events
         if not (forward or backward):
@@ -534,27 +525,16 @@ def clauses_hold(rel: PairRelation, kind: RelationKind) -> bool:
         smb = [sum(1 << z1 for z1 in zs) for zs in sb]
         if forward:
             moving = [(1 << zi, m) for zi, m in enumerate(smb) if m]
-            good = {v: sum(bit for bit, m in moving if m & v) for v in holding}
-            for row, xis in live:
-                unmatched = frozenset(
-                    chain.from_iterable(
-                        ys for v, ys in holding.items() if row & ~good[v]
-                    )
-                )
-                succs = map(sa.__getitem__, xis)
-                if unmatched and not all(map(unmatched.isdisjoint, succs)):
+            good = [sum(bit for bit, m in moving if m & row) for row in rows]
+            for xi in live:
+                row = rows[xi]
+                if reduce(and_, map(good.__getitem__, sa[xi]), row) != row:
                     return False
         if backward:
-            for row, xis in live:
-                need = reduce(or_, map(smb.__getitem__, _bits(row)))
-                for xi in xis:
-                    covered = 0
-                    for x1 in sa[xi]:
-                        if not need & ~covered:
-                            break
-                        covered |= rows[x1]
-                    if need & ~covered:
-                        return False
+            for xi in live:
+                covered = reduce(or_, map(rows.__getitem__, sa[xi]), 0)
+                if any(smb[zi] & ~covered for zi in _bits(rows[xi])):
+                    return False
     return True
 
 
