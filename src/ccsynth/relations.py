@@ -525,7 +525,9 @@ def clauses_hold(rel: PairRelation, kind: RelationKind) -> bool:
         smb = [sum(1 << z1 for z1 in zs) for zs in sb]
         if forward:
             moving = [(1 << zi, m) for zi, m in enumerate(smb) if m]
-            good = [sum(bit for bit, m in moving if m & row) for row in rows]
+            # Rows repeat, so ``good`` is computed once per distinct row.
+            good_of = {v: sum(bit for bit, m in moving if m & v) for v in set(rows)}
+            good = list(map(good_of.__getitem__, rows))
             for xi in live:
                 row = rows[xi]
                 if reduce(and_, map(good.__getitem__, sa[xi]), row) != row:
