@@ -511,13 +511,15 @@ def clauses_hold(rel: PairRelation, kind: RelationKind) -> bool:
     sweep over the bit rows: nothing is deleted, queued or named.  Per
     forward event, ``good[x1]`` holds the right states with a move into
     ``x1``'s row, so a left state's moves are matched when its row lies
-    inside ``good`` of each successor.  Per backward event, a row's right
-    states may move only into the OR of the rows of the left state's
-    successors.
+    inside ``good`` of each successor.  Per backward event, the right
+    states a row's states move to (``need``) must lie in the OR of the
+    rows of the left state's successors.  Rows repeat, so ``good`` and
+    ``need`` are computed once per distinct row.
     """
     a, b, rows = rel.left, rel.right, rel.rows
     require_same_alphabet(a, b)
-    live = [xi for xi, row in enumerate(rows) if row]
+    live = [(xi, row) for xi, row in enumerate(rows) if row]
+    distinct = set(rows)
     for ev, sa, sb in zip(a.alphabet.events, a.successor_table, b.successor_table):
         forward, backward = ev in kind.forward_events, ev in kind.backward_events
         if not (forward or backward):
@@ -525,17 +527,15 @@ def clauses_hold(rel: PairRelation, kind: RelationKind) -> bool:
         smb = [sum(1 << z1 for z1 in zs) for zs in sb]
         if forward:
             moving = [(1 << zi, m) for zi, m in enumerate(smb) if m]
-            # Rows repeat, so ``good`` is computed once per distinct row.
-            good_of = {v: sum(bit for bit, m in moving if m & v) for v in set(rows)}
+            good_of = {v: sum(bit for bit, m in moving if m & v) for v in distinct}
             good = list(map(good_of.__getitem__, rows))
-            for xi in live:
-                row = rows[xi]
+            for xi, row in live:
                 if reduce(and_, map(good.__getitem__, sa[xi]), row) != row:
                     return False
         if backward:
-            for xi in live:
-                covered = reduce(or_, map(rows.__getitem__, sa[xi]), 0)
-                if any(smb[zi] & ~covered for zi in _bits(rows[xi])):
+            need = {v: reduce(or_, map(smb.__getitem__, _bits(v)), 0) for v in distinct}
+            for xi, row in live:
+                if need[row] & ~reduce(or_, map(rows.__getitem__, sa[xi]), 0):
                     return False
     return True
 

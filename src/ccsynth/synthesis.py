@@ -635,22 +635,18 @@ def _witness_relation(
     gets empty rows.  None when the witness names a supervisor, plant or
     specification state that ``s``, ``g`` or ``r`` does not declare.
     """
-    gi, ri = g.state_index, r.state_index
-    by_state: dict[str, dict[str, int]] = {}
+    si, gi, ri = s.state_index, g.state_index, r.state_index
+    # (supervisor state, plant state) -> its specification states' mask
+    cols: dict[tuple[str, str], int] = {}
     for y, pairs in witness.items():
-        if y not in s.state_index:
+        if y not in si:
             return None
-        cols = by_state[y] = {}
         for x, z in pairs:
             if x not in gi or z not in ri:
                 return None
-            cols[x] = cols.get(x, 0) | 1 << ri[z]
-    empty: dict[str, int] = {}
+            cols[y, x] = cols.get((y, x), 0) | 1 << ri[z]
     pair_of = prod.pair_of
-    rows = []
-    for name in prod.states:
-        y, x = pair_of[name]
-        rows.append(by_state.get(y, empty).get(x, 0))
+    rows = [cols.get(pair_of[name], 0) for name in prod.states]
     return PairRelation.from_rows(prod, r, rows)
 
 
