@@ -89,13 +89,16 @@ class Transitions(Sequence):
     view iterates in the automaton's normal form, sorted by (source,
     event, target) index, names each triple only as it is read, and is
     equal to, and hashes like, the tuple of those triples.  Its length
-    is counted once, at construction.
+    is counted once, when first asked for.
     """
 
     def __init__(self, states: tuple[str, ...], events: tuple[str, ...], table):
         self.states, self.events = states, events
         self.table: SuccessorTable = tuple(map(tuple, table))
-        self._len = sum(len(targets) for row in self.table for targets in row)
+
+    @cached_property
+    def _len(self) -> int:
+        return sum(len(targets) for row in self.table for targets in row)
 
     def __len__(self) -> int:
         return self._len
@@ -252,9 +255,14 @@ class Automaton:
         return len(self.states)
 
 
+def successor_entry(targets: list[int]) -> tuple[int, ...]:
+    """A successor-table entry: ``targets`` ascending, without repeats."""
+    return tuple(sorted(set(targets))) if len(targets) > 1 else tuple(targets)
+
+
 def _named_table(a: Automaton, transitions: Iterable) -> list:
     """The successor table of named ``(source, event, target)`` triples
-    over ``a``'s states and alphabet, each entry sorted and deduplicated.
+    over ``a``'s states and alphabet, each entry a ``successor_entry``.
 
     An undeclared name raises in ``validate_automaton``'s order: an
     empty initial set first, then an undeclared event, then an
@@ -281,10 +289,7 @@ def _named_table(a: Automaton, transitions: Iterable) -> list:
             raise UnknownEvent(f"transition event {ev!r} not in alphabet") from None
         side, name = ("target", dst) if src in sidx else ("source", src)
         raise UnknownState(f"transition {side} {name!r} not a declared state") from None
-    return [
-        [tuple(sorted(set(ts))) if len(ts) > 1 else tuple(ts) for ts in row]
-        for row in table
-    ]
+    return [list(map(successor_entry, row)) for row in table]
 
 
 def validate_automaton(a: Automaton) -> None:

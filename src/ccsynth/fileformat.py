@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import islice
 from pathlib import Path
 
-from .automata import Alphabet, Automaton
+from .automata import Alphabet, Automaton, successor_entry
 from .errors import ParseError
 
 
@@ -116,10 +116,7 @@ def parse_automaton(text: str) -> Automaton:
     return Automaton.from_table(
         Alphabet(tuple(events), frozenset(uncontrollable), frozenset(required)),
         states,
-        [
-            [tuple(sorted(set(ts))) if len(ts) > 1 else tuple(ts) for ts in row]
-            for row in table
-        ],
+        [list(map(successor_entry, row)) for row in table],
         initial,
     )
 

@@ -18,12 +18,13 @@ over the powerset of an admissible pair universe decides solvability,
 and the supervisor automaton built from that fixpoint is the maximally
 permissive solution.
 
-Representation: members are fixed-width bit masks over a deterministic
-pair universe.  The fixpoint is driven by the family's antichain of
-maximal members, which is sound because every iterate is closed
-downward (the match predicate shrinks with its first argument and grows
-with its third); the antichain engine is cross-checked against plain
-member enumeration in the test suite.
+Representation: members are fixed-width bit masks over the pairs of
+the universe relation, in its (plant index, specification index)
+order.  The fixpoint is driven by the family's antichain of maximal
+members, which is sound because every iterate is closed downward (the
+match predicate shrinks with its first argument and grows with its
+third); the antichain engine is cross-checked against plain member
+enumeration in the test suite.
 """
 
 from __future__ import annotations
@@ -65,63 +66,42 @@ DEFAULT_UNIVERSE_CAP = 20
 
 @dataclass(frozen=True)
 class PairSetFamily:
-    """A set of subsets of a fixed, ordered pair universe.
+    """A set of subsets of a fixed universe relation.
 
-    Members are bit masks over ``universe`` indices; membership is exact
-    set equality and members are deduplicated by construction.
+    ``universe`` is a ``PairRelation`` over the plant and the
+    specification; bit i of a member stands for its i-th pair in the
+    relation's (plant index, specification index) order.  Membership is
+    exact set equality and members are deduplicated by construction.
     """
 
-    universe: tuple[Pair, ...]
+    universe: PairRelation
     members: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "universe", tuple(tuple(p) for p in self.universe))
         object.__setattr__(self, "members", frozenset(self.members))
-        if len(set(self.universe)) != len(self.universe):
-            raise UniverseMismatch("universe pairs must be unique")
         full = (1 << len(self.universe)) - 1
         for m in self.members:
             if m & ~full:
                 raise UniverseMismatch("member mask exceeds the universe")
 
     @staticmethod
-    def from_pair_sets(universe, sets) -> "PairSetFamily":
-        universe = tuple(tuple(p) for p in universe)
-        index = {p: i for i, p in enumerate(universe)}
-        members = set()
-        for w in sets:
-            mask = 0
-            for p in w:
-                p = tuple(p)
-                if p not in index:
-                    raise UniverseMismatch(f"pair {p!r} not in the universe")
-                mask |= 1 << index[p]
-            members.add(mask)
-        return PairSetFamily(universe, frozenset(members))
-
-    @staticmethod
     def over(g: Automaton, r: Automaton, sets) -> "PairSetFamily":
-        """Family over the union of the given sets, ordered by state indices."""
-        pairs = sorted(
-            {tuple(p) for w in sets for p in w},
-            key=lambda p: (g.state_index[p[0]], r.state_index[p[1]]),
-        )
-        return PairSetFamily.from_pair_sets(tuple(pairs), sets)
+        """Family of the given pair sets, over the relation of their union."""
+        sets = [frozenset(map(tuple, w)) for w in sets]
+        universe = PairRelation(g, r, (p for w in sets for p in w))
+        bit = {p: 1 << i for i, p in enumerate(universe)}
+        members = frozenset(sum(map(bit.__getitem__, w)) for w in sets)
+        return PairSetFamily(universe, members)
+
+    @cached_property
+    def _pairs(self) -> tuple[Pair, ...]:
+        return tuple(self.universe)
 
     def pairs_of(self, mask: int) -> tuple[Pair, ...]:
-        return tuple(p for i, p in enumerate(self.universe) if mask >> i & 1)
+        return tuple(p for i, p in enumerate(self._pairs) if mask >> i & 1)
 
     def member_sets(self) -> frozenset[frozenset[Pair]]:
         return frozenset(frozenset(self.pairs_of(m)) for m in self.members)
-
-    def contains_set(self, pairs) -> bool:
-        return frozenset(tuple(p) for p in pairs) in self.member_sets()
-
-    def union_pairs(self) -> frozenset[Pair]:
-        mask = 0
-        for m in self.members:
-            mask |= m
-        return frozenset(self.pairs_of(mask))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -147,33 +127,39 @@ def _maximal(masks) -> list[int]:
 class _FamilyContext:
     """Index tables and obligation masks for one (g, r, universe) triple.
 
-    Built from one universe mask per state: ``row[x]`` holds the pairs
-    whose plant state is x and ``col[z]`` those whose specification
-    state is z.  Under an event, the pairs a specification state z can
-    move to are the OR of ``col`` over z's successors, so the forward
-    obligation of a plant move x --ev--> x1 at (x, z) is ``row[x1]``
-    masked by it, and the backward obligation of a specification move
-    z --ev--> z1 is ``col[z1]`` masked by the OR of ``row`` over x's
-    successors.  Only the successor tables are read.
+    Built from one universe mask per state, read off the universe
+    relation's rows: ``row[x]`` holds the pairs whose plant state is x
+    and ``col[z]`` those whose specification state is z.  Under an
+    event, the pairs a specification state z can move to are the OR of
+    ``col`` over z's successors, so the forward obligation of a plant
+    move x --ev--> x1 at (x, z) is ``row[x1]`` masked by it, and the
+    backward obligation of a specification move z --ev--> z1 is
+    ``col[z1]`` masked by the OR of ``row`` over x's successors.  Only
+    the successor tables and the rows are read; no pair is named.
     """
 
-    def __init__(self, g: Automaton, r: Automaton, universe: tuple[Pair, ...]):
+    def __init__(self, g: Automaton, r: Automaton, universe: PairRelation):
         require_same_alphabet(g, r)
+        if not (
+            isinstance(universe, PairRelation)
+            and (universe.left, universe.right) == (g, r)
+        ):
+            raise UniverseMismatch(
+                "universe must be a relation over the plant and the specification"
+            )
         self.g, self.r = g, r
-        self.universe = tuple(universe)
-        self.n = len(self.universe)
-        self.full = (1 << self.n) - 1
-        gi, ri = g.state_index, r.state_index
+        self.universe = universe
         row = [0] * g.n_states
         col = [0] * r.n_states
         codes: list[tuple[int, int]] = []
-        for i, (x, z) in enumerate(self.universe):
-            xi, zi = gi.get(x), ri.get(z)
-            if xi is None or zi is None:
-                raise UniverseMismatch(f"pair ({x!r}, {z!r}) outside the automata")
-            row[xi] |= 1 << i
-            col[zi] |= 1 << i
-            codes.append((xi, zi))
+        for xi, zs in enumerate(universe.rows):
+            for zi in _bits(zs):
+                bit = 1 << len(codes)
+                row[xi] |= bit
+                col[zi] |= bit
+                codes.append((xi, zi))
+        self.n = len(codes)
+        self.full = (1 << self.n) - 1
         ab = g.alphabet
         self.uc_events = [e for e in ab.events if e in ab.uncontrollable]
         # forward[i][ev]: one mask per plant move x --ev--> x', holding the
@@ -206,6 +192,7 @@ class _FamilyContext:
                         rx |= row[x1]
                     self.backward[i][ev] = [rx & col[z1] for z1 in rk[zi]]
             self._obliged[ev] = (free, obliged)
+        gi, ri = g.state_index, r.state_index
         initial_col = 0
         for z0 in r.initial:
             initial_col |= col[ri[z0]]
@@ -254,15 +241,16 @@ def _universe_refinement(g: Automaton, r: Automaton) -> RefineResult:
     return refine(g, r, universe_kind(g.alphabet))
 
 
-def pairs_universe(g: Automaton, r: Automaton) -> tuple[Pair, ...]:
+def pairs_universe(g: Automaton, r: Automaton) -> PairRelation:
     """Admissible search space for family members.
 
     The union of any controllability family satisfies the uncontrollable-
     forward and required-backward clauses, so every member lies inside
-    the greatest relation closed under them.  Returned in deterministic
-    (plant index, specification index) order.
+    the greatest relation closed under them: the relation ``refine``
+    returns, which names its pairs in (plant index, specification index)
+    order.
     """
-    return tuple(_universe_refinement(g, r).alive)
+    return _universe_refinement(g, r).alive
 
 
 def downward_closure(e: PairSetFamily) -> PairSetFamily:
@@ -371,10 +359,10 @@ def family_fixpoint(
     if cap is None:
         cap = DEFAULT_UNIVERSE_CAP
     res = _universe_refinement(g, r)
-    universe = tuple(res.alive)
-    if len(universe) > cap:
-        raise CapExceeded(len(universe), cap)
-    ctx = _FamilyContext(g, r, universe)
+    size = len(res.alive)
+    if size > cap:
+        raise CapExceeded(size, cap)
+    ctx = _FamilyContext(g, r, res.alive)
     chain = [ctx.full]
     iterations = 0
     while True:
@@ -749,9 +737,10 @@ def bisimilarity_solvable(g: Automaton, r: Automaton, cap: int | None = None) ->
     if not fix.solvable():
         return False
     ctx = fix.ctx
+    chain = PairSetFamily(ctx.universe, frozenset(fix.antichain))
     covered: set[str] = set()
     for m in fix.antichain:
         core = m & ctx.initial_mask
         if ctx.istate(core):
-            covered.update(ctx.universe[i][1] for i in ctx.bits(core))
+            covered.update(z for _, z in chain.pairs_of(core))
     return covered == set(r.initial)

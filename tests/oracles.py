@@ -1,13 +1,15 @@
 """Oracles of the test suite: slow, named reimplementations of the
 production engines.
 
-Relations by pair-by-pair refinement over named transitions, products
-and admissibility over named states, file parsing by the
-character-by-character tokenizer, family obligation masks by named
-successor lookups, the family check member by member, supervisors by
-assembly over the materialized closure, supervisor variants by
-filtering named transitions, and automaton isomorphism by backtracking.
-None of them ships with the package.
+Relations by pair-by-pair refinement over named transitions and by
+exhaustive enumeration of pair sets, the match predicate over named
+transitions, products and admissibility over named states, file
+parsing by the character-by-character tokenizer, family obligation
+masks by named successor lookups, the filtering step and the family
+check member by member, supervisors by assembly over the materialized
+closure, supervisor variants by filtering named transitions, and
+automaton isomorphism by backtracking.  None of them ships with the
+package.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from ccsynth.automata import (
     product_state_id,
     require_same_alphabet,
 )
-from ccsynth.errors import NotAFamily, ParseError, UniverseMismatch
+from ccsynth.errors import CapExceeded, NotAFamily, ParseError, UniverseMismatch
 from ccsynth.relations import (
     ADMISSIBILITY,
     BACKWARD,
@@ -43,7 +45,7 @@ from ccsynth.synthesis import (
     downward_closure,
     member_state_id,
 )
-from ccsynth.testkit import member_passes
+
 
 @dataclass
 class PairwiseRefineResult:
@@ -157,6 +159,63 @@ def pairwise_refine(
     return PairwiseRefineResult(
         PairRelation(a, b, alive_pairs), named_reasons, deletions=clock
     )
+
+
+BRUTE_PAIR_CAP = 9
+
+
+def brute_greatest_relation(
+    a: Automaton, b: Automaton, kind: RelationKind, cap: int = BRUTE_PAIR_CAP
+) -> PairRelation:
+    """Union of every relation satisfying the kind's clauses.
+
+    Enumerates all subsets of the pair universe, so the universe is
+    capped (callers may raise the cap for a known-small instance).
+    Union closure of the clauses makes this exactly the greatest
+    relation, independently of the deletion algorithm.
+    """
+    pairs = [(x, z) for x in a.states for z in b.states]
+    n = len(pairs)
+    if n > cap:
+        raise CapExceeded(n, cap, "brute-force pair universe")
+    events = a.alphabet.events
+    fwd = [ev for ev in events if ev in kind.forward_events]
+    bwd = [ev for ev in events if ev in kind.backward_events]
+
+    def satisfies(rel: set[tuple[str, str]]) -> bool:
+        for x, z in rel:
+            for ev in fwd:
+                for x1 in a.successors(x, ev):
+                    if not any((x1, z1) in rel for z1 in b.successors(z, ev)):
+                        return False
+            for ev in bwd:
+                for z1 in b.successors(z, ev):
+                    if not any((x1, z1) in rel for x1 in a.successors(x, ev)):
+                        return False
+        return True
+
+    union: set[tuple[str, str]] = set()
+    for mask in range(1 << n):
+        rel = {pairs[i] for i in range(n) if mask >> i & 1}
+        if satisfies(rel):
+            union |= rel
+    return PairRelation(a, b, frozenset(union))
+
+
+def match_predicate(w: PairRelation, event: str, w2: PairRelation) -> bool:
+    """Does every move of a ``w`` pair under ``event`` land in ``w2``?
+
+    True iff for every (x, z) in ``w`` and every x --event--> x' there is
+    some z --event--> z' with (x', z') in ``w2``.
+    """
+    if (w.left, w.right) != (w2.left, w2.right):
+        raise UniverseMismatch("both relations must range over the same automata")
+    g, r = w.left, w.right
+    for x, z in w:
+        for x1 in g.successors(x, event):
+            if not any((x1, z1) in w2 for z1 in r.successors(z, event)):
+                return False
+    return True
 
 
 def named_sync_product(s: Automaton, g: Automaton, *, full: bool = False) -> Automaton:
@@ -366,6 +425,37 @@ def named_family_context(
     )
 
 
+def member_passes(ctx: _FamilyContext, w: int, candidates) -> bool:
+    """Both filtering conditions for member ``w`` against candidate targets.
+
+    Condition one: for every uncontrollable event some candidate matches
+    ``w``'s moves.  Condition two: every required specification move out
+    of a ``w`` pair is answered by a plant move into some candidate that
+    also matches all of ``w``'s moves.
+    """
+    for ev in ctx.uc_events:
+        if not any(ctx.match(w, ev, t) for t in candidates):
+            return False
+    for i in ctx.bits(w):
+        for ev, obligations in ctx.backward[i].items():
+            for ob in obligations:
+                if not any(t & ob and ctx.match(w, ev, t) for t in candidates):
+                    return False
+    return True
+
+
+def f_step(e: PairSetFamily, g: Automaton, r: Automaton) -> PairSetFamily:
+    """One filtering pass: keep members whose obligations ``e`` can answer.
+
+    Targets are quantified over ``e`` exactly as given, one member at a
+    time; the oracle for the antichain passes of ``family_fixpoint``.
+    """
+    ctx = _FamilyContext(g, r, e.universe)
+    members = sorted(e.members)
+    keep = [w for w in members if member_passes(ctx, w, members)]
+    return PairSetFamily(e.universe, frozenset(keep))
+
+
 def pairwise_is_controllability_family(
     e: PairSetFamily, g: Automaton, r: Automaton
 ) -> bool:
@@ -390,10 +480,11 @@ def submask_edge_targets(
     ``w``'s paired moves reach, kept when it matches all of ``w``'s
     moves; the oracle for the hitting-set enumeration in assembly.
     """
-    index = {p: i for i, p in enumerate(ctx.universe)}
+    pairs = tuple(ctx.universe)
+    index = {p: i for i, p in enumerate(pairs)}
     post = 0
     for i in ctx.bits(w):
-        x, z = ctx.universe[i]
+        x, z = pairs[i]
         zs = ctx.r.successors(z, ev)
         for x1 in ctx.g.successors(x, ev):
             for z1 in zs:

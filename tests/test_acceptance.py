@@ -35,12 +35,7 @@ from ccsynth import (
 )
 from ccsynth.cli import run_command
 from ccsynth.synthesis import PairSetFamily
-from ccsynth.testkit import (
-    InstanceSpec,
-    brute_greatest_relation,
-    enumerate_subsupervisors,
-    random_instance,
-)
+from ccsynth.testkit import InstanceSpec, enumerate_subsupervisors, random_instance
 
 from helpers import projection_consistent
 from instances import (
@@ -56,7 +51,7 @@ from instances import (
     scanner_r,
     scanner_s,
 )
-from oracles import isomorphic
+from oracles import brute_greatest_relation, isomorphic
 from test_synthesis import expected_diamond_supervisor, expected_diamond_product
 
 

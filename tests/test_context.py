@@ -6,7 +6,7 @@ Every field is compared with ``oracles.named_family_context``, which
 builds them pair by pair from named successors, and ``good_mask`` with
 a per-pair test of the forward obligations.  The family fixpoint, the
 family check and supervisor assembly are shown to make no named
-successor query at all.
+successor query at all, and the fixpoint and its verdict name no pair.
 """
 
 import random
@@ -21,7 +21,12 @@ from ccsynth import (
     is_controllability_family,
     pairs_universe,
 )
-from ccsynth.synthesis import PairSetFamily, _FamilyContext, family_fixpoint
+from ccsynth.synthesis import (
+    PairSetFamily,
+    _FamilyContext,
+    family_fixpoint,
+    solvability_counterexample,
+)
 from ccsynth.testkit import InstanceSpec, random_instance
 
 from instances import (
@@ -81,16 +86,15 @@ def c08_sweep():
 
 def universes(g, r, rng):
     """The pruned universe, the full product, and a random part of it,
-    the last two in shuffled order."""
+    each a relation, so their bits follow state index order."""
     full = [(x, z) for x in g.states for z in r.states]
     part = rng.sample(full, rng.randint(0, len(full)))
-    rng.shuffle(full)
-    return [pairs_universe(g, r), tuple(full), tuple(part)]
+    return [pairs_universe(g, r), PairRelation(g, r, full), PairRelation(g, r, part)]
 
 
 def assert_same_context(g, r, universe):
     got = _FamilyContext(g, r, universe)
-    want = named_family_context(g, r, universe)
+    want = named_family_context(g, r, tuple(universe))
     for name in FIELDS:
         assert getattr(got, name) == getattr(want, name), name
     # Equal lists hide key order; the backward scan walks it.
@@ -117,12 +121,22 @@ def test_context_rejects_pairs_outside_the_automata():
     for pair, side in foreign:
         bad = (pair,)
         with pytest.raises(UniverseMismatch):
-            _FamilyContext(g, r, bad)
-        with pytest.raises(UniverseMismatch):
             named_family_context(g, r, bad)
         message = f"^state 'nowhere' not in the {side} automaton$"
         with pytest.raises(UniverseMismatch, match=message):
             PairRelation(g, r, bad)
+        with pytest.raises(UniverseMismatch, match=message):
+            PairSetFamily.over(g, r, [DIAMOND_FAMILY[0] | {pair}])
+    # The context takes only a relation over its own plant and specification.
+    other = [
+        PairRelation(r, r, ()),
+        PairRelation(g, g, ()),
+        PairRelation(ladder_g(), r, ()),
+        tuple(pairs_universe(g, r)),
+    ]
+    for universe in other:
+        with pytest.raises(UniverseMismatch, match="^universe must be a relation"):
+            _FamilyContext(g, r, universe)
 
 
 def test_good_mask_agrees_with_per_pair_check():
@@ -132,7 +146,7 @@ def test_good_mask_agrees_with_per_pair_check():
     for g, r in cases:
         for universe in universes(g, r, rng):
             ctx = _FamilyContext(g, r, universe)
-            named = named_family_context(g, r, universe)
+            named = named_family_context(g, r, tuple(universe))
             targets = [0, ctx.full] + [rng.randint(0, ctx.full) for _ in range(12)]
             for ev in g.alphabet.events:
                 for t in targets:
@@ -173,3 +187,23 @@ def test_family_code_makes_no_named_successor_query(monkeypatch):
     assert len(families) >= 15
     with pytest.raises(AssertionError, match="named successor"):
         diamond_g().successors("x0", diamond_g().alphabet.events[0])
+
+
+def test_fixpoint_and_verdict_name_no_pair(monkeypatch):
+    """The fixpoint and its verdict read the universe relation's rows
+    only; on a solvable instance, so does the counterexample search."""
+    cases = worked_instances() + c08_sweep()
+
+    def no_names(self):
+        raise AssertionError("pair named")
+
+    monkeypatch.setattr(PairRelation, "__iter__", no_names)
+    solvable = 0
+    for g, r in cases:
+        fix = family_fixpoint(g, r)
+        if fix.solvable():
+            assert solvability_counterexample(g, r, fix) is None
+            solvable += 1
+    assert solvable >= 20
+    with pytest.raises(AssertionError, match="pair named"):
+        list(pairs_universe(diamond_g(), diamond_r()))

@@ -1,9 +1,12 @@
-"""Every name a ``ccsynth`` module imports is used there.
+"""Every name a ``ccsynth`` module imports is used there, and every
+public function of ``ccsynth.testkit`` has a caller outside the tests.
 
 The exceptions are the names ``perfbench/tracer.py`` wraps by looking
 them up on that module (its ``WRAPPED`` table), which stay bound even
 where the module itself no longer calls them.  ``__init__.py`` imports
-to re-export and is not checked.
+to re-export and is not checked.  Test oracles live in
+``tests/oracles.py``; ``testkit`` ships only what the CLI or the
+benchmark runs.
 """
 
 import ast
@@ -61,3 +64,26 @@ def test_modules_import_only_what_they_use_or_the_tracer_wraps():
         if extra:
             found[path.name] = extra
     assert found == {}
+
+
+def names_used(path: Path) -> set[str]:
+    """Names a source file reads, bare or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_testkit_ships_only_what_the_cli_or_the_benchmark_calls():
+    tree = ast.parse((PACKAGE / "testkit.py").read_text(encoding="utf-8"))
+    public = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    callers = [PACKAGE / "cli.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    used = set().union(*map(names_used, callers))
+    assert {"random_instance", "enumerate_subsupervisors"} <= public
+    assert public - used == set()

@@ -13,7 +13,6 @@ from ccsynth import (
     build_supervisor,
     downward_closure,
     extract_family,
-    f_step,
     greatest_family,
     greatest_relation,
     holds,
@@ -33,6 +32,7 @@ from ccsynth.testkit import InstanceSpec, enumerate_subsupervisors, random_insta
 
 from helpers import projection_consistent, random_alphabet, random_automaton
 from instances import DIAMOND_FAMILY, diamond_g, diamond_r, scanner_g, scanner_r
+from oracles import f_step
 
 ALL_KINDS = ("sim", "ccsim", "bisim", "ucsim", "ucrsim")
 

@@ -14,7 +14,6 @@ from ccsynth import (
     is_state_controllable,
     is_uniform,
     make_automaton,
-    match_predicate,
     sync_product,
 )
 from ccsynth.relations import clause_violations, inverse_initial_condition
@@ -32,6 +31,7 @@ from instances import (
     scanner_r,
     scanner_s,
 )
+from oracles import match_predicate
 
 # Frozen by the exhaustive-enumeration oracle (see test_properties for the
 # live comparison): the greatest relation with uncontrollable-forward and

@@ -426,6 +426,25 @@ def test_passing_synthesized_verification_runs_no_refinement(monkeypatch):
     assert checked >= 5
 
 
+def test_witnessed_verification_counts_no_product_edge(monkeypatch):
+    """The product's edge count is made only when asked for."""
+    products = []
+
+    def keep(s, g, **kwargs):
+        products.append(sync_product(s, g, **kwargs))
+        return products[-1]
+
+    monkeypatch.setattr(synthesis, "sync_product", keep)
+    for g, r in [(diamond_g(), diamond_r())] + list(c08_sweep(20)):
+        out = synthesize(g, r)
+        if out.solvable:
+            assert out.report.overall
+    assert len(products) >= 5
+    assert all("_len" not in vars(prod.transitions) for prod in products)
+    edges = products[0].transitions
+    assert len(edges) == len(tuple(edges)) and "_len" in vars(edges)
+
+
 def test_failing_witnessed_verification_makes_the_witness_free_calls(monkeypatch):
     calls = count_named_checks(monkeypatch)
     mutants = (

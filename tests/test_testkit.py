@@ -9,10 +9,10 @@ from ccsynth import (
     serialize_automaton,
 )
 from ccsynth.synthesis import PairSetFamily
-from ccsynth.testkit import InstanceSpec, brute_greatest_relation, random_instance
+from ccsynth.testkit import InstanceSpec, random_instance
 
 from instances import DIAMOND_FAMILY, diamond_g, diamond_r, ladder_g, ladder_r
-from oracles import isomorphic
+from oracles import brute_greatest_relation, isomorphic
 
 
 def test_brute_relation_on_ladder():
