@@ -13,7 +13,6 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -111,33 +110,7 @@ class Transitions(Sequence):
                     yield src, ev, states[j]
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        index = operator.index(index)
-        if index < 0:
-            index += self._len
-        if not 0 <= index < self._len:
-            raise IndexError("transition index out of range")
-        return next(islice(self, index, None))
-
-    def __contains__(self, item) -> bool:
-        if not isinstance(item, tuple) or len(item) != 3:
-            return False
-        src, ev, dst = item
-        try:
-            i, j = self._state_index[src], self._state_index[dst]
-            k = self._event_index[ev]
-        except (KeyError, TypeError):
-            return False
-        return j in self.table[k][i]
-
-    @cached_property
-    def _state_index(self) -> dict[str, int]:
-        return {s: i for i, s in enumerate(self.states)}
-
-    @cached_property
-    def _event_index(self) -> dict[str, int]:
-        return {e: i for i, e in enumerate(self.events)}
+        return tuple(self)[index]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Transitions) and (self.states, self.events) == (
@@ -422,26 +395,21 @@ def is_deterministic(a: Automaton) -> bool:
     return all(len(targets) <= 1 for row in a.successor_table for targets in row)
 
 
-def default_inclusion_bound(a: Automaton, b: Automaton) -> int:
-    # Beyond |A|x|B| steps the (state, subset) exploration only revisits
-    # configurations already seen, so this bound loses nothing.
-    return a.n_states * b.n_states + 1
-
-
 def language_included(a: Automaton, b: Automaton, bound: int | None = None) -> bool:
-    """Is every trace of ``a`` of length <= bound also a trace of ``b``?
+    """Is every trace of ``a`` (of length <= ``bound``, if given) one of ``b``?
 
     Explores pairs (state of a, subset of b's states) reached by common
-    strings; a pair whose subset side goes empty witnesses a trace of
-    ``a`` that ``b`` cannot follow.
+    strings, for ``bound`` levels or until no new pair is reached; a pair
+    whose subset side goes empty witnesses a trace of ``a`` that ``b``
+    cannot follow.
     """
     require_same_alphabet(a, b)
-    if bound is None:
-        bound = default_inclusion_bound(a, b)
     b0 = frozenset(b.initial)
     frontier = [(x, b0) for x in a.initial]
     seen = set(frontier)
-    for _ in range(bound):
+    depth = 0
+    while frontier and (bound is None or depth < bound):
+        depth += 1
         nxt = []
         for x, bs in frontier:
             for ev in a.alphabet.events:
@@ -453,8 +421,6 @@ def language_included(a: Automaton, b: Automaton, bound: int | None = None) -> b
                     if key not in seen:
                         seen.add(key)
                         nxt.append(key)
-        if not nxt:
-            break
         frontier = nxt
     return True
 

@@ -25,7 +25,6 @@ from .relations import (
     NAMED_KINDS,
     Counterexample,
     RelationKind,
-    greatest_relation,
     holds,
     is_admissible,
     is_uniform,
@@ -34,9 +33,9 @@ from .synthesis import (
     DEFAULT_UNIVERSE_CAP,
     build_supervisor,
     family_fixpoint,
+    pairs_universe,
     solvability_counterexample,
     synthesize,
-    universe_kind,
     verify_solution,
 )
 from .testkit import InstanceSpec, random_instance
@@ -189,7 +188,7 @@ def _cmd_verify(args, report: _Report) -> int:
 
 def _cmd_uniform(args, report: _Report) -> int:
     g, r = _load_pair(args.g, args.r)
-    rel = greatest_relation(g, r, universe_kind(g.alphabet))
+    rel = pairs_universe(g, r)
     ok = is_uniform(rel, g, r)
     report.result = ok
     report.stats["universe_size"] = len(rel)

@@ -707,42 +707,30 @@ def is_uniform(phi: PairRelation, g: Automaton, r: Automaton) -> bool:
     """Can per-string slices of ``phi`` serve as matching witnesses?
 
     Quantifies over quadruples (x1, x2, z1, z2) whose components are all
-    reachable by one common string (computed as reachability of the
-    4-fold synchronous product): whenever (x1, z1) and (x2, z2) are in
-    ``phi``, z1 enables a required event and x2 takes it, some move of z2
-    must cover x2's move inside ``phi``.
+    reachable by one common string: the states of the synchronous
+    product of g x g with r x r, decoded through the inner products'
+    ``pair_of``.  Whenever (x1, z1) and (x2, z2) are in ``phi``, z1
+    enables a required event and x2 takes it, some move of z2 must cover
+    x2's move inside ``phi``.
     """
     if (phi.left, phi.right) != (g, r):
         raise UniverseMismatch("relation must range over exactly (g, r)")
-    req = [ev for ev in g.alphabet.events if ev in g.alphabet.required]
-    roots = {
-        (x1, x2, z1, z2)
-        for x1 in g.initial
-        for x2 in g.initial
-        for z1 in r.initial
-        for z2 in r.initial
-    }
-    queue = deque(sorted(roots))
-    seen = set(roots)
-    while queue:
-        quad = queue.popleft()
-        x1, x2, z1, z2 = quad
-        if (x1, z1) in phi and (x2, z2) in phi:
-            for ev in req:
-                if not r.enables(z1, ev):
-                    continue
-                for x2p in g.successors(x2, ev):
-                    if not any((x2p, z2p) in phi for z2p in r.successors(z2, ev)):
-                        return False
-        for ev in g.alphabet.events:
-            for a1 in g.successors(x1, ev):
-                for a2 in g.successors(x2, ev):
-                    for b1 in r.successors(z1, ev):
-                        for b2 in r.successors(z2, ev):
-                            nxt = (a1, a2, b1, b2)
-                            if nxt not in seen:
-                                seen.add(nxt)
-                                queue.append(nxt)
+    gg, rr = sync_product(g, g), sync_product(r, r)
+    quads = sync_product(gg, rr)
+    gi, ri = g.state_index, r.state_index
+    left = {n: (gi[p.left], gi[p.right]) for n, p in gg.pair_of.items()}
+    right = {n: (ri[p.left], ri[p.right]) for n, p in rr.pair_of.items()}
+    rows, gs, rs = phi.rows, g.successor_table, r.successor_table
+    req = [k for k, ev in enumerate(g.alphabet.events) if ev in g.alphabet.required]
+    for pair in quads.pair_of.values():
+        (x1, x2), (z1, z2) = left[pair.left], right[pair.right]
+        if not (rows[x1] >> z1 & 1 and rows[x2] >> z2 & 1):
+            continue
+        for k in req:
+            if rs[k][z1]:
+                covers = sum(1 << z for z in rs[k][z2])
+                if not all(rows[x] & covers for x in gs[k][x2]):
+                    return False
     return True
 
 

@@ -3,13 +3,13 @@ production engines.
 
 Relations by pair-by-pair refinement over named transitions and by
 exhaustive enumeration of pair sets, the match predicate over named
-transitions, products and admissibility over named states, file
-parsing by the character-by-character tokenizer, family obligation
-masks by named successor lookups, the filtering step and the family
-check member by member, supervisors by assembly over the materialized
-closure, supervisor variants by filtering named transitions, and
-automaton isomorphism by backtracking.  None of them ships with the
-package.
+transitions, products, admissibility and uniformity over named
+states, file parsing by the character-by-character tokenizer, family
+obligation masks by named successor lookups, the filtering step and
+the family check member by member, supervisors by assembly over the
+materialized closure, supervisor variants by filtering named
+transitions, and automaton isomorphism by backtracking.  None of them
+ships with the package.
 """
 
 from __future__ import annotations
@@ -281,6 +281,49 @@ def named_is_admissible(
                         seen.add((y1, x1))
                         queue.append((y1, x1))
     return True, None
+
+
+def named_is_uniform(phi: PairRelation, g: Automaton, r: Automaton) -> bool:
+    """``is_uniform`` by a breadth-first walk over named quadruples.
+
+    Quantifies over quadruples (x1, x2, z1, z2) whose components are all
+    reachable by one common string (computed as reachability of the
+    4-fold synchronous product): whenever (x1, z1) and (x2, z2) are in
+    ``phi``, z1 enables a required event and x2 takes it, some move of z2
+    must cover x2's move inside ``phi``.
+    """
+    if (phi.left, phi.right) != (g, r):
+        raise UniverseMismatch("relation must range over exactly (g, r)")
+    req = [ev for ev in g.alphabet.events if ev in g.alphabet.required]
+    roots = {
+        (x1, x2, z1, z2)
+        for x1 in g.initial
+        for x2 in g.initial
+        for z1 in r.initial
+        for z2 in r.initial
+    }
+    queue = deque(sorted(roots))
+    seen = set(roots)
+    while queue:
+        quad = queue.popleft()
+        x1, x2, z1, z2 = quad
+        if (x1, z1) in phi and (x2, z2) in phi:
+            for ev in req:
+                if not r.enables(z1, ev):
+                    continue
+                for x2p in g.successors(x2, ev):
+                    if not any((x2p, z2p) in phi for z2p in r.successors(z2, ev)):
+                        return False
+        for ev in g.alphabet.events:
+            for a1 in g.successors(x1, ev):
+                for a2 in g.successors(x2, ev):
+                    for b1 in r.successors(z1, ev):
+                        for b2 in r.successors(z2, ev):
+                            nxt = (a1, a2, b1, b2)
+                            if nxt not in seen:
+                                seen.add(nxt)
+                                queue.append(nxt)
+    return True
 
 
 def _reference_tokenize(line: str) -> list[tuple[int, str]]:

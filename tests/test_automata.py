@@ -313,6 +313,27 @@ def test_language_inclusion_witness():
     assert not language_included(b, a, 2)
 
 
+def test_language_inclusion_default_explores_every_configuration():
+    # B follows a^n b for every n except multiples of 12: its a-cycles of
+    # lengths 3 and 4 are both at state 0 only then, and b dies there.
+    # The shortest trace of A missing from B, a^12 b, is longer than
+    # |A| * |B| + 1 = 10 letters.
+    cycles = [(3, "c"), (4, "d")]
+    states = ["s", "f"] + [f"{p}{i}" for n, p in cycles for i in range(n)]
+    moves = [("s", "b", "f"), ("f", "a", "f"), ("f", "b", "f")]
+    for n, p in cycles:
+        moves.append(("s", "a", f"{p}1"))
+        moves += [(f"{p}{i}", "a", f"{p}{(i + 1) % n}") for i in range(n)]
+        moves += [(f"{p}{i}", "b", "f") for i in range(1, n)]
+    a = make_automaton(("a", "b"), ("x",), (("x", "a", "x"), ("x", "b", "x")), ("x",))
+    b = make_automaton(("a", "b"), states, moves, ("s",))
+    assert b.n_states == 9
+    assert not language_included(a, b)
+    assert language_included(a, b, 12)
+    assert not language_included(a, b, 13)
+    assert language_included(b, a)
+
+
 def test_language_inclusion_alphabet_mismatch():
     with pytest.raises(AlphabetMismatch):
         language_included(scanner_g(), diamond_g())

@@ -1,19 +1,26 @@
 import random
+from collections import Counter
 
 import pytest
 
 from ccsynth import (
+    AlphabetMismatch,
     CapExceeded,
+    InstanceSpec,
     PairRelation,
     RelationKind,
     UniverseMismatch,
+    deterministic_fastpath,
     greatest_relation,
     holds,
     initial_condition,
     is_admissible,
+    is_deterministic,
     is_state_controllable,
     is_uniform,
     make_automaton,
+    pairs_universe,
+    random_instance,
     sync_product,
 )
 from ccsynth.relations import clause_violations, inverse_initial_condition
@@ -31,7 +38,7 @@ from instances import (
     scanner_r,
     scanner_s,
 )
-from oracles import match_predicate
+from oracles import match_predicate, named_is_uniform
 
 # Frozen by the exhaustive-enumeration oracle (see test_properties for the
 # live comparison): the greatest relation with uncontrollable-forward and
@@ -309,3 +316,43 @@ def test_uniform_universe_mismatch():
     g, r = forked_g(), forked_r()
     with pytest.raises(UniverseMismatch):
         is_uniform(rel(g, r, ()), r, g)
+
+
+def test_uniform_alphabet_mismatch():
+    g = make_automaton(("a", "b"), ("p",), (), ("p",))
+    r = make_automaton(("b", "a"), ("p",), (), ("p",))
+    with pytest.raises(AlphabetMismatch):
+        is_uniform(rel(g, r, [("p", "p")]), g, r)
+
+
+def test_uniformity_and_fastpath_agree_with_the_named_references():
+    # is_uniform against the named quadruple walk, on a random relation and
+    # on the universe relation of each draw; deterministic_fastpath against
+    # the one-shot ucr-simulation check it stands for.
+    rng = random.Random(180_000)
+    uniform, fast = Counter(), Counter()
+    for i in range(600):
+        spec = InstanceSpec(
+            g_states=1 + i % 4,
+            r_states=1 + (i // 4) % 4,
+            events=1 + i % 3,
+            uncontrollable_fraction=(i % 5) / 4,
+            required_fraction=0.25 + (i % 4) / 4,
+            density=0.2 + (i % 4) * 0.1,
+            seed=180_000 + i,
+            deterministic=i % 3 == 0,
+        )
+        g, r = random_instance(spec)
+        pairs = [(x, z) for x in g.states for z in r.states]
+        drawn = rel(g, r, [p for p in pairs if rng.random() < 0.7])
+        for source, phi in (("drawn", drawn), ("universe", pairs_universe(g, r))):
+            verdict = is_uniform(phi, g, r)
+            assert verdict == named_is_uniform(phi, g, r), (i, source)
+            uniform[source, verdict] += 1
+        expected = None
+        if is_deterministic(g) and is_deterministic(r):
+            expected = holds(g, r, RelationKind.ucr_simulation(g.alphabet))[0]
+        assert deterministic_fastpath(g, r) is expected, i
+        fast[expected] += 1
+    assert all(uniform[s, v] for s in ("drawn", "universe") for v in (True, False))
+    assert all(fast[v] for v in (True, False, None))
