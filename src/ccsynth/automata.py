@@ -88,7 +88,8 @@ class Transitions(Sequence):
     view iterates in the automaton's normal form, sorted by (source,
     event, target) index, names each triple only as it is read, and is
     equal to, and hashes like, the tuple of those triples.  Its length
-    is counted once, when first asked for.
+    is counted once, when first asked for.  Indexing builds that tuple,
+    O(E) per call; the package itself only iterates.
     """
 
     def __init__(self, states: tuple[str, ...], events: tuple[str, ...], table):
@@ -298,6 +299,38 @@ def product_state_id(left: str, right: str) -> str:
     return f"({left},{right})"
 
 
+def product_walk(left, right, n_right: int, order: list[int], table=None):
+    """Walk the synchronous product of two successor tables on pair codes.
+
+    The pair of left state ``l`` and right state ``r`` has code
+    ``l * n_right + r``.  ``order`` holds the codes to start from and
+    grows, in discovery order, with every code reached; each code is
+    yielded before it is expanded, so a caller may stop the walk early.
+    With a ``table``, expanding the i-th code appends its ascending
+    successor positions in ``order`` to ``table[k]`` for each event k.
+    """
+    index = {p: i for i, p in enumerate(order)}
+    i = 0
+    while i < len(order):
+        yield order[i]
+        l, r = divmod(order[i], n_right)
+        for k, (lrow, rrow) in enumerate(zip(left, right)):
+            targets = []
+            rs = rrow[r]
+            for l1 in lrow[l]:
+                base = l1 * n_right
+                for r1 in rs:
+                    j = index.get(base + r1)
+                    if j is None:
+                        j = index[base + r1] = len(order)
+                        order.append(base + r1)
+                    targets.append(j)
+            if table is not None:
+                targets.sort()
+                table[k].append(tuple(targets))
+        i += 1
+
+
 def sync_product(s: Automaton, g: Automaton, *, full: bool = False) -> Automaton:
     """Synchronous composition: both factors move together on every event.
 
@@ -306,43 +339,26 @@ def sync_product(s: Automaton, g: Automaton, *, full: bool = False) -> Automaton
     The result's ``pair_of`` maps each product state id back to its
     component pair.
 
-    Runs on integer pair codes ``y * |g| + x``.  States are numbered in
-    discovery order (row-major for ``full``), and the walk fills the
-    product's successor table directly, so no named transition is built.
+    Runs ``product_walk`` on integer pair codes ``y * |g| + x``.  States
+    are numbered in discovery order (row-major for ``full``), and the
+    walk fills the product's successor table directly, so no named
+    transition is built.
     """
     require_same_alphabet(s, g)
-    events = s.alphabet.events
-    ss, gs = s.successor_table, g.successor_table
     ng = g.n_states
     si, gi = s.state_index, g.state_index
     roots = [si[y] * ng + gi[x] for y in s.initial for x in g.initial]
     order = list(range(s.n_states * ng)) if full else list(roots)
-    index = {p: i for i, p in enumerate(order)}
-    table: list[list[tuple[int, ...]]] = [[] for _ in events]
-    i = 0
-    while i < len(order):
-        y, x = divmod(order[i], ng)
-        for k in range(len(events)):
-            targets = []
-            xs = gs[k][x]
-            for y1 in ss[k][y]:
-                base = y1 * ng
-                for x1 in xs:
-                    j = index.get(base + x1)
-                    if j is None:
-                        j = index[base + x1] = len(order)
-                        order.append(base + x1)
-                    targets.append(j)
-            targets.sort()
-            table[k].append(tuple(targets))
-        i += 1
+    table: list[list[tuple[int, ...]]] = [[] for _ in s.alphabet.events]
+    for _ in product_walk(s.successor_table, g.successor_table, ng, order, table):
+        pass
     pairs = [ProductState(s.states[p // ng], g.states[p % ng]) for p in order]
     names = [product_state_id(*pair) for pair in pairs]
     return Automaton.from_table(
         s.alphabet,
         names,
         table,
-        [names[index[p]] for p in roots],
+        [names[i] for i in (roots if full else range(len(roots)))],
         pair_of=dict(zip(names, pairs)),
     )
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from operator import and_, or_
 
-from .automata import Automaton, require_same_alphabet, sync_product
+from .automata import Automaton, product_walk, require_same_alphabet, sync_product
 from .errors import CapExceeded, UniverseMismatch
 
 FORWARD = "forward"
@@ -708,22 +708,29 @@ def is_uniform(phi: PairRelation, g: Automaton, r: Automaton) -> bool:
 
     Quantifies over quadruples (x1, x2, z1, z2) whose components are all
     reachable by one common string: the states of the synchronous
-    product of g x g with r x r, decoded through the inner products'
-    ``pair_of``.  Whenever (x1, z1) and (x2, z2) are in ``phi``, z1
-    enables a required event and x2 takes it, some move of z2 must cover
-    x2's move inside ``phi``.
+    product of g x g with r x r, which ``product_walk`` walks on integer
+    codes and hands over as they are reached.  Whenever (x1, z1) and
+    (x2, z2) are in ``phi``, z1 enables a required event and x2 takes
+    it, some move of z2 must cover x2's move inside ``phi``.
     """
     if (phi.left, phi.right) != (g, r):
         raise UniverseMismatch("relation must range over exactly (g, r)")
-    gg, rr = sync_product(g, g), sync_product(r, r)
-    quads = sync_product(gg, rr)
-    gi, ri = g.state_index, r.state_index
-    left = {n: (gi[p.left], gi[p.right]) for n, p in gg.pair_of.items()}
-    right = {n: (ri[p.left], ri[p.right]) for n, p in rr.pair_of.items()}
+    require_same_alphabet(g, r)
+    squares = []
+    for a in (g, r):
+        n, succ = a.n_states, a.successor_table
+        init = [a.state_index[p] for p in a.initial]
+        order, table = [p * n + q for p in init for q in init], [[] for _ in succ]
+        for _ in product_walk(succ, succ, n, order, table):
+            pass
+        squares.append((n, order, table))
+    (ng, gg, gg_table), (nr, rr, rr_table) = squares
     rows, gs, rs = phi.rows, g.successor_table, r.successor_table
     req = [k for k, ev in enumerate(g.alphabet.events) if ev in g.alphabet.required]
-    for pair in quads.pair_of.values():
-        (x1, x2), (z1, z2) = left[pair.left], right[pair.right]
+    n_rr, r_roots = len(rr), len(r.initial) ** 2
+    roots = [i * n_rr + j for i in range(len(g.initial) ** 2) for j in range(r_roots)]
+    for code in product_walk(gg_table, rr_table, n_rr, roots):
+        (x1, x2), (z1, z2) = divmod(gg[code // n_rr], ng), divmod(rr[code % n_rr], nr)
         if not (rows[x1] >> z1 & 1 and rows[x2] >> z2 & 1):
             continue
         for k in req:

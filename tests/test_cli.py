@@ -108,6 +108,16 @@ def test_uniform_deterministic_pair_exit_zero(files):
     assert run_command(["uniform", files["lR"], files["lR"]]) == 0
 
 
+def test_uniform_on_state_names_with_commas(tmp_path, capsys):
+    path = tmp_path / "g.aut"
+    path.write_text(
+        "event e\nstate a initial\nstate a,b\nstate b,a\n"
+        "trans a e a\ntrans a e a,b\ntrans a e b,a\n"
+    )
+    assert run_command(["uniform", str(path), str(path)]) == 0
+    assert "is uniform" in capsys.readouterr().out
+
+
 def test_alphabet_mismatch_is_usage_error(files):
     assert run_command(["check", "--kind", "sim", files["G"], files["dG"]]) == 2
 

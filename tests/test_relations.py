@@ -325,6 +325,21 @@ def test_uniform_alphabet_mismatch():
         is_uniform(rel(g, r, [("p", "p")]), g, r)
 
 
+def test_uniform_on_state_names_with_commas():
+    # The product id "(a,b,a)" names both ("a,b", "a") and ("a", "b,a"), so
+    # sync_product(g, g) cannot be built; uniformity names no product state.
+    g = make_automaton(
+        ("e",),
+        ("a", "a,b", "b,a"),
+        [("a", "e", "a"), ("a", "e", "a,b"), ("a", "e", "b,a")],
+        ("a",),
+        required=("e",),
+    )
+    diagonal = rel(g, g, [(x, x) for x in g.states])
+    for phi, verdict in ((pairs_universe(g, g), False), (diagonal, True)):
+        assert is_uniform(phi, g, g) is named_is_uniform(phi, g, g) is verdict
+
+
 def test_uniformity_and_fastpath_agree_with_the_named_references():
     # is_uniform against the named quadruple walk, on a random relation and
     # on the universe relation of each draw; deterministic_fastpath against
