@@ -25,6 +25,7 @@ from .errors import (
 )
 
 Transition = tuple[str, str, str]
+_ESCAPES = str.maketrans({"\\": "\\\\", ",": "\\,", ":": "\\:"})
 
 
 class ProductState(NamedTuple):
@@ -299,6 +300,12 @@ def product_state_id(left: str, right: str) -> str:
     return f"({left},{right})"
 
 
+def escaped(names: Iterable[str]) -> list[str]:
+    """Each name with ``\\``, ``,`` and ``:`` escaped by a backslash, so
+    ids joined from escaped names with those separators never collide."""
+    return [n.translate(_ESCAPES) for n in names]
+
+
 def product_walk(left, right, n_right: int, order: list[int], table=None):
     """Walk the synchronous product of two successor tables on pair codes.
 
@@ -342,7 +349,8 @@ def sync_product(s: Automaton, g: Automaton, *, full: bool = False) -> Automaton
     Runs ``product_walk`` on integer pair codes ``y * |g| + x``.  States
     are numbered in discovery order (row-major for ``full``), and the
     walk fills the product's successor table directly, so no named
-    transition is built.
+    transition is built.  If two states would share an id, every id is
+    built from ``escaped`` component names instead.
     """
     require_same_alphabet(s, g)
     ng = g.n_states
@@ -354,6 +362,9 @@ def sync_product(s: Automaton, g: Automaton, *, full: bool = False) -> Automaton
         pass
     pairs = [ProductState(s.states[p // ng], g.states[p % ng]) for p in order]
     names = [product_state_id(*pair) for pair in pairs]
+    if len(set(names)) < len(names):
+        ys, xs = escaped(s.states), escaped(g.states)
+        names = [product_state_id(ys[p // ng], xs[p % ng]) for p in order]
     return Automaton.from_table(
         s.alphabet,
         names,
@@ -411,33 +422,27 @@ def is_deterministic(a: Automaton) -> bool:
     return all(len(targets) <= 1 for row in a.successor_table for targets in row)
 
 
-def language_included(a: Automaton, b: Automaton, bound: int | None = None) -> bool:
-    """Is every trace of ``a`` (of length <= ``bound``, if given) one of ``b``?
+def language_included(a: Automaton, b: Automaton) -> bool:
+    """Is every trace of ``a`` one of ``b``?
 
     Explores pairs (state of a, subset of b's states) reached by common
-    strings, for ``bound`` levels or until no new pair is reached; a pair
-    whose subset side goes empty witnesses a trace of ``a`` that ``b``
-    cannot follow.
+    strings; a pair whose subset side goes empty witnesses a trace of
+    ``a`` that ``b`` cannot follow.
     """
     require_same_alphabet(a, b)
     b0 = frozenset(b.initial)
-    frontier = [(x, b0) for x in a.initial]
-    seen = set(frontier)
-    depth = 0
-    while frontier and (bound is None or depth < bound):
-        depth += 1
-        nxt = []
-        for x, bs in frontier:
-            for ev in a.alphabet.events:
-                for x1 in a.successors(x, ev):
-                    bs1 = frozenset(t for z in bs for t in b.successors(z, ev))
-                    if not bs1:
-                        return False
-                    key = (x1, bs1)
-                    if key not in seen:
-                        seen.add(key)
-                        nxt.append(key)
-        frontier = nxt
+    stack = [(x, b0) for x in a.initial]
+    seen = set(stack)
+    while stack:
+        x, bs = stack.pop()
+        for ev in a.alphabet.events:
+            for x1 in a.successors(x, ev):
+                bs1 = frozenset(t for z in bs for t in b.successors(z, ev))
+                if not bs1:
+                    return False
+                if (x1, bs1) not in seen:
+                    seen.add((x1, bs1))
+                    stack.append((x1, bs1))
     return True
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping, Set
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import reduce
 from operator import and_, or_
 
@@ -171,16 +171,7 @@ class Counterexample:
             "right": self.right,
             "event": self.event,
             "successor": self.successor,
-            "chain": [
-                {
-                    "left": s.left,
-                    "right": s.right,
-                    "clause": s.clause,
-                    "event": s.event,
-                    "successor": s.successor,
-                }
-                for s in self.chain
-            ],
+            "chain": [asdict(s) for s in self.chain],
             "note": self.note,
             "message": self.describe(),
         }
@@ -716,6 +707,8 @@ def is_uniform(phi: PairRelation, g: Automaton, r: Automaton) -> bool:
     if (phi.left, phi.right) != (g, r):
         raise UniverseMismatch("relation must range over exactly (g, r)")
     require_same_alphabet(g, r)
+    if not any(phi.rows):  # no quadruple can fire the clause
+        return True
     squares = []
     for a in (g, r):
         n, succ = a.n_states, a.successor_table

@@ -31,12 +31,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 # perfbench/tracer.py wraps names by getattr on this module (e.g.
 # ``is_admissible``, unused here), so every imported name stays bound.
 from .automata import (
     Automaton,
+    escaped,
     is_deterministic,
     require_same_alphabet,
     sync_product,
@@ -162,62 +164,52 @@ class _FamilyContext:
         self.full = (1 << self.n) - 1
         ab = g.alphabet
         self.uc_events = [e for e in ab.events if e in ab.uncontrollable]
-        # forward[i][ev]: one mask per plant move x --ev--> x', holding the
+        # forward[ev]: (the pairs with no plant move under ev, [(bit, masks)]
+        # for the others), one mask per plant move x --ev--> x' holding the
         # universe pairs (x', z') that a matching specification move reaches.
-        self.forward: list[dict[str, list[int]]] = [{} for _ in codes]
-        # backward[i][ev]: one mask per specification move z --ev--> z',
-        # holding the universe pairs (x', z') with x --ev--> x'.
-        self.backward: list[dict[str, list[int]]] = [{} for _ in codes]
-        # _obliged[ev]: (pairs with no forward obligation under ev, and
-        # (bit, obligations) for each pair with some), for ``good_mask``.
-        self._obliged: dict[str, tuple[int, list[tuple[int, list[int]]]]] = {}
+        self.forward: dict[str, tuple[int, list[tuple[int, list[int]]]]] = {}
+        # backward[ev], for the required events under which some pair has
+        # a specification move: (bit, obligations), one mask per move
+        # z --ev--> z' holding the universe pairs (x', z') with x --ev--> x'.
+        self.backward: dict[str, list[tuple[int, list[int]]]] = {}
         for ev, gk, rk in zip(ab.events, g.successor_table, r.successor_table):
             colk = [0] * r.n_states
             for zi, zs in enumerate(rk):
                 for z1 in zs:
                     colk[zi] |= col[z1]
             required = ev in ab.required
-            free, obliged = 0, []
+            free, forward, backward = 0, [], []
             for i, (xi, zi) in enumerate(codes):
                 xs = gk[xi]
                 if xs:
-                    cz = colk[zi]
-                    obs = self.forward[i][ev] = [row[x1] & cz for x1 in xs]
-                    obliged.append((1 << i, obs))
+                    forward.append((1 << i, [row[x1] & colk[zi] for x1 in xs]))
                 else:
                     free |= 1 << i
                 if required and rk[zi]:
                     rx = 0
                     for x1 in xs:
                         rx |= row[x1]
-                    self.backward[i][ev] = [rx & col[z1] for z1 in rk[zi]]
-            self._obliged[ev] = (free, obliged)
+                    backward.append((1 << i, [rx & col[z1] for z1 in rk[zi]]))
+            self.forward[ev] = (free, forward)
+            if backward:
+                self.backward[ev] = backward
         gi, ri = g.state_index, r.state_index
-        initial_col = 0
-        for z0 in r.initial:
-            initial_col |= col[ri[z0]]
+        initial_col = reduce(or_, (col[ri[z0]] for z0 in r.initial), 0)
         self.istate_masks = [row[gi[x0]] & initial_col for x0 in g.initial]
-        self.initial_mask = 0
-        for m in self.istate_masks:
-            self.initial_mask |= m
+        self.initial_mask = reduce(or_, self.istate_masks, 0)
         self._good_cache: dict[tuple[str, int], int] = {}
-
-    bits = staticmethod(_bits)
 
     def good_mask(self, ev: str, target: int) -> int:
         """Pairs whose forward obligations under ``ev`` land in ``target``."""
         key = (ev, target)
         cached = self._good_cache.get(key)
         if cached is None:
-            cached, obliged = self._obliged[ev]
+            cached, obliged = self.forward[ev]
             for bit, obs in obliged:
                 if all(map(target.__and__, obs)):
                     cached |= bit
             self._good_cache[key] = cached
         return cached
-
-    def match(self, w: int, ev: str, target: int) -> bool:
-        return w & ~self.good_mask(ev, target) == 0
 
     def istate(self, w: int) -> bool:
         return all(w & m for m in self.istate_masks)
@@ -225,10 +217,10 @@ class _FamilyContext:
     def obligations(self, w: int, ev: str) -> set[int]:
         """Forward-obligation masks of ``w``'s pairs under ``ev``.
 
-        ``match(w, ev, t)`` holds exactly when ``t`` meets every one of
-        them, and their union is the set of pairs ``w``'s moves reach.
+        A target matches ``w``'s moves exactly when it meets every one
+        of them, and their union is the set of pairs ``w``'s moves reach.
         """
-        return {ob for i in self.bits(w) for ob in self.forward[i].get(ev, ())}
+        return {ob for bit, obs in self.forward[ev][1] if w & bit for ob in obs}
 
 
 def universe_kind(alphabet) -> RelationKind:
@@ -291,22 +283,21 @@ def _antichain_pass(ctx: _FamilyContext, chain: list[int]) -> list[int]:
     Candidate members are explored top down; when one violates a
     condition, every surviving subset must avoid that violation, which
     yields a small set of strictly smaller children covering all of them.
+    Passing is closed downward, so a candidate inside a survivor is skipped.
     """
     survivors: list[int] = []
     seen: set[int] = set()
     stack = sorted(chain)
     while stack:
         w = stack.pop()
-        if w in seen:
+        if w in seen or any(w | s == s for s in survivors):
             continue
         seen.add(w)
         children = _violation_children(ctx, w, chain)
         if children is None:
             survivors.append(w)
         else:
-            for c in children:
-                if c not in seen:
-                    stack.append(c)
+            stack.extend(c for c in children if c not in seen)
     return _maximal(survivors)
 
 
@@ -314,18 +305,25 @@ def _violation_children(ctx: _FamilyContext, w: int, chain: list[int]):
     """None if ``w`` passes both conditions; else strictly smaller subsets
     jointly covering every passing subset of ``w``."""
     for ev in ctx.uc_events:
-        if not any(ctx.match(w, ev, t) for t in chain):
+        goods = [ctx.good_mask(ev, t) for t in chain]
+        if all(w & ~good for good in goods):
             # A passing subset must fit below some target's good set.
-            return [w & ctx.good_mask(ev, t) for t in chain]
-    for i in ctx.bits(w):
-        for ev, obligations in ctx.backward[i].items():
-            for ob in obligations:
-                if not any(t & ob and ctx.match(w, ev, t) for t in chain):
-                    children = [w & ~(1 << i)]
-                    children.extend(
-                        w & ctx.good_mask(ev, t) for t in chain if t & ob
-                    )
-                    return children
+            return [w & good for good in goods]
+    for ev, obliged in ctx.backward.items():
+        goods = [ctx.good_mask(ev, t) for t in chain]
+        # A backward obligation is answered iff it meets a chain member
+        # that matches w's moves, so it is tested against their OR.
+        matched = 0
+        for t, good in zip(chain, goods):
+            if w & ~good == 0:
+                matched |= t
+        for bit, obs in obliged:
+            if w & bit:
+                for ob in obs:
+                    if not ob & matched:
+                        return [w & ~bit] + [
+                            w & good for t, good in zip(chain, goods) if t & ob
+                        ]
     return None
 
 
@@ -484,9 +482,7 @@ def _hitting_sets(chain: list[int], obs) -> list[int]:
     member ``w`` under ``ev``: closure members inside the pairs ``w``'s
     moves reach that match all of those moves.
     """
-    post = 0
-    for ob in obs:
-        post |= ob
+    post = reduce(or_, obs, 0)
     cand: set[int] = set()
     for m in chain:
         base = post & m
@@ -543,6 +539,10 @@ def _assemble_supervisor(
         i += 1
     pairs = [family.pairs_of(w) for w in order]
     names = [member_state_id(p) for p in pairs]
+    if len(set(names)) < len(names):
+        # Some state name holds a separator: escape every one, once.
+        xs, zs = (dict(zip(a.states, escaped(a.states))) for a in (ctx.g, ctx.r))
+        names = [member_state_id((xs[x], zs[z]) for x, z in p) for p in pairs]
     aut = Automaton.from_table(
         ctx.g.alphabet, names, table, [names[position[w]] for w in initial]
     )

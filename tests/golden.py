@@ -1,8 +1,9 @@
 """Golden digest: one pinned hash per command output.
 
 Runs a fixed set of ``ccsynth`` commands in-process through
-``run_command`` on the worked examples, the C08 sweep and a seeded
-batch of 3x3 draws.  Per instance:
+``run_command`` on the worked examples, the C08 sweep, a seeded batch
+of 3x3 draws and one draw whose state names hold id separators.  Per
+instance:
 
 * ``check`` with every kind, ``solvable`` and ``uniform``, each plain
   and with ``--json``;
@@ -41,7 +42,7 @@ from ccsynth.cli import run_command
 from ccsynth.relations import NAMED_KINDS
 from ccsynth.synthesis import family_fixpoint
 
-from instances import scanner_s
+from instances import scanner_s, separator_instance
 from test_pipeline import FULL_CLOSURE_BOUND, WORKED
 from test_tables import c08_sweep
 
@@ -62,6 +63,7 @@ def instances():
     for i in range(BATCH_SIZE):
         g, r = random_instance(InstanceSpec(3, 3, 2, seed=BATCH_SEED + i))
         yield f"3x3/{i:02d}", g, r
+    yield "separator/seed9", *separator_instance()
 
 
 def digest(code: int, out: str, err: str, written) -> str:

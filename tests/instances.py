@@ -15,11 +15,15 @@ the specification by the one-shot relation check, yet unsolvable.
 Forked: an uncontrollable split followed by a required step on both
 plant branches but only one specification branch; its natural family is
 a controllability family whose union is not uniform.
+
+Separator: a seeded 3x3 draw whose specification state z2 is renamed
+``z0,x1:z1``, so two supervisor states would get one id; and a plant
+and supervisor whose product states would.
 """
 
 from __future__ import annotations
 
-from ccsynth import Automaton, make_automaton
+from ccsynth import Automaton, InstanceSpec, make_automaton, random_instance
 
 SCANNER_EVENTS = ("start", "scan", "put", "cancel", "pay", "next")
 SCANNER_UNCONTROLLABLE = ("start", "scan", "put", "cancel", "pay")
@@ -192,3 +196,24 @@ FORKED_FAMILY = (
     frozenset({("x1'", "z1'"), ("x2'", "z1'")}),
     frozenset({("x2", "z2")}),
 )
+
+
+def separator_instance() -> tuple[Automaton, Automaton]:
+    """``InstanceSpec(3, 3, 2, seed=9)`` with specification state z2
+    renamed ``z0,x1:z1``: the supervisor members {(x1, z0), (x1, z1)} and
+    {(x1, z0,x1:z1)} both join to ``W{x1:z0,x1:z1}``."""
+    g, r = random_instance(InstanceSpec(3, 3, 2, seed=9))
+    names = ["z0,x1:z1" if z == "z2" else z for z in r.states]
+    return g, Automaton.from_table(r.alphabet, names, r.successor_table, r.initial)
+
+
+def separator_product() -> tuple[Automaton, Automaton]:
+    """Supervisor and plant whose product states ("a,b", "a") and
+    ("a", "b,a") both join to ``(a,b,a)``."""
+    g = make_automaton(
+        ("e",), ("a", "b,a"), (("a", "e", "b,a"), ("b,a", "e", "a")), ("a",)
+    )
+    s = make_automaton(
+        ("e",), ("a,b", "a"), (("a,b", "e", "a"), ("a", "e", "a,b")), ("a,b",)
+    )
+    return s, g

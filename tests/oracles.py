@@ -6,9 +6,10 @@ exhaustive enumeration of pair sets, the match predicate over named
 transitions, products, admissibility and uniformity over named
 states, file parsing by the character-by-character tokenizer, family
 obligation masks by named successor lookups, the filtering step and
-the family check member by member, supervisors by assembly over the
-materialized closure, supervisor variants by filtering named
-transitions, and automaton isomorphism by backtracking.  None of them
+the family check member by member, the antichain pass scanning pairs
+before events, supervisors by assembly over the materialized closure,
+supervisor variants by filtering named transitions, language inclusion
+up to a bound, and automaton isomorphism by backtracking.  None of them
 ships with the package.
 """
 
@@ -39,11 +40,11 @@ from ccsynth.relations import (
 from ccsynth.synthesis import (
     PairSetFamily,
     SupervisorAutomaton,
-    _FamilyContext,
     _maximal,
     _submasks,
     downward_closure,
     member_state_id,
+    pairs_universe,
 )
 
 
@@ -425,9 +426,12 @@ def named_family_context(
     """Obligation masks built one pair and one named successor at a time.
 
     The oracle for the context built from per-state universe masks:
-    every mask is assembled from a lookup of each candidate pair.  The
-    namespace holds ``_FamilyContext``'s fields ``uc_events``,
-    ``forward``, ``backward``, ``istate_masks`` and ``initial_mask``.
+    every mask is assembled from a lookup of each candidate pair, and
+    kept per pair in ``pair_forward[i][ev]`` and ``pair_backward[i][ev]``.
+    Grouped by event, they give ``_FamilyContext``'s tables ``forward``
+    and ``backward``; the namespace also holds its fields ``uc_events``,
+    ``istate_masks`` and ``initial_mask``, and the match predicate
+    (``match``, ``good_mask``) read off the per-pair lists.
     """
     require_same_alphabet(g, r)
     index: dict[tuple[str, str], int] = {}
@@ -445,8 +449,8 @@ def named_family_context(
         return m
 
     ab = g.alphabet
-    forward: list[dict[str, list[int]]] = []
-    backward: list[dict[str, list[int]]] = []
+    pair_forward: list[dict[str, list[int]]] = []
+    pair_backward: list[dict[str, list[int]]] = []
     for x, z in universe:
         fwd: dict[str, list[int]] = {}
         bwd: dict[str, list[int]] = {}
@@ -457,34 +461,119 @@ def named_family_context(
                 fwd[ev] = [mask((x1, z1) for z1 in zs) for x1 in xs]
             if ev in ab.required and zs:
                 bwd[ev] = [mask((x1, z1) for x1 in xs) for z1 in zs]
-        forward.append(fwd)
-        backward.append(bwd)
+        pair_forward.append(fwd)
+        pair_backward.append(bwd)
+    n = len(universe)
+    forward, backward = {}, {}
+    for ev in ab.events:
+        free = sum(1 << i for i in range(n) if ev not in pair_forward[i])
+        obliged = [(1 << i, f[ev]) for i, f in enumerate(pair_forward) if ev in f]
+        forward[ev] = (free, obliged)
+        answered = [(1 << i, b[ev]) for i, b in enumerate(pair_backward) if ev in b]
+        if answered:
+            backward[ev] = answered
+    good: dict[tuple[str, int], int] = {}
+
+    def good_mask(ev: str, t: int) -> int:
+        if (ev, t) not in good:
+            good[ev, t] = sum(
+                1 << i
+                for i, f in enumerate(pair_forward)
+                if all(t & ob for ob in f.get(ev, ()))
+            )
+        return good[ev, t]
+
+    istate_masks = [mask((x0, z0) for z0 in r.initial) for x0 in g.initial]
     return SimpleNamespace(
+        g=g,
+        r=r,
+        universe=tuple(universe),
+        n=n,
+        full=(1 << n) - 1,
         uc_events=[e for e in ab.events if e in ab.uncontrollable],
+        pair_forward=pair_forward,
+        pair_backward=pair_backward,
         forward=forward,
         backward=backward,
-        istate_masks=[mask((x0, z0) for z0 in r.initial) for x0 in g.initial],
+        istate_masks=istate_masks,
         initial_mask=mask((x0, z0) for x0 in g.initial for z0 in r.initial),
+        good_mask=good_mask,
+        match=lambda w, ev, t: w & ~good_mask(ev, t) == 0,
+        istate=lambda w: all(w & m for m in istate_masks),
+        bits=lambda w: [i for i in range(n) if w >> i & 1],
     )
 
 
-def member_passes(ctx: _FamilyContext, w: int, candidates) -> bool:
+def member_passes(ctx: SimpleNamespace, w: int, candidates) -> bool:
     """Both filtering conditions for member ``w`` against candidate targets.
 
     Condition one: for every uncontrollable event some candidate matches
     ``w``'s moves.  Condition two: every required specification move out
     of a ``w`` pair is answered by a plant move into some candidate that
-    also matches all of ``w``'s moves.
+    also matches all of ``w``'s moves.  ``ctx`` is a
+    ``named_family_context``.
+    """
+    return reference_violation_children(ctx, w, candidates) is None
+
+
+def reference_violation_children(ctx: SimpleNamespace, w: int, chain: list[int]):
+    """``_violation_children`` pair by pair over a ``named_family_context``.
+
+    None if ``w`` passes both conditions against ``chain``.  Otherwise
+    the pairs of ``w`` are scanned in bit order, each with its required
+    events, and every backward obligation is tested against the chain
+    one member at a time; the first violation found yields the children.
+    The oracle for the per-event scan, whose first violation may differ
+    but whose children equally cover every passing subset of ``w``.
     """
     for ev in ctx.uc_events:
-        if not any(ctx.match(w, ev, t) for t in candidates):
-            return False
+        if not any(ctx.match(w, ev, t) for t in chain):
+            return [w & ctx.good_mask(ev, t) for t in chain]
     for i in ctx.bits(w):
-        for ev, obligations in ctx.backward[i].items():
+        for ev, obligations in ctx.pair_backward[i].items():
             for ob in obligations:
-                if not any(t & ob and ctx.match(w, ev, t) for t in candidates):
-                    return False
-    return True
+                if not any(t & ob and ctx.match(w, ev, t) for t in chain):
+                    children = [w & ~(1 << i)]
+                    children.extend(
+                        w & ctx.good_mask(ev, t) for t in chain if t & ob
+                    )
+                    return children
+    return None
+
+
+def reference_antichain_pass(ctx: SimpleNamespace, chain: list[int]) -> list[int]:
+    """``_antichain_pass`` over ``reference_violation_children``, exploring
+    every candidate, including those inside a survivor."""
+    survivors: list[int] = []
+    seen: set[int] = set()
+    stack = sorted(chain)
+    while stack:
+        w = stack.pop()
+        if w in seen:
+            continue
+        seen.add(w)
+        children = reference_violation_children(ctx, w, chain)
+        if children is None:
+            survivors.append(w)
+        else:
+            for c in children:
+                if c not in seen:
+                    stack.append(c)
+    return _maximal(survivors)
+
+
+def reference_fixpoint(g: Automaton, r: Automaton) -> tuple[list[int], int]:
+    """Antichain and iteration count of the greatest fixpoint, by
+    ``reference_antichain_pass`` over the named context of the (uncapped)
+    pair universe; the oracle for ``family_fixpoint``."""
+    ctx = named_family_context(g, r, tuple(pairs_universe(g, r)))
+    chain, iterations = [ctx.full], 0
+    while True:
+        iterations += 1
+        nxt = reference_antichain_pass(ctx, chain)
+        if nxt == chain:
+            return chain, iterations
+        chain = nxt
 
 
 def f_step(e: PairSetFamily, g: Automaton, r: Automaton) -> PairSetFamily:
@@ -493,7 +582,7 @@ def f_step(e: PairSetFamily, g: Automaton, r: Automaton) -> PairSetFamily:
     Targets are quantified over ``e`` exactly as given, one member at a
     time; the oracle for the antichain passes of ``family_fixpoint``.
     """
-    ctx = _FamilyContext(g, r, e.universe)
+    ctx = named_family_context(g, r, tuple(e.universe))
     members = sorted(e.members)
     keep = [w for w in members if member_passes(ctx, w, members)]
     return PairSetFamily(e.universe, frozenset(keep))
@@ -507,7 +596,7 @@ def pairwise_is_controllability_family(
     Quadratic in the number of members; the oracle for the antichain
     check in ``is_controllability_family``.
     """
-    ctx = _FamilyContext(g, r, e.universe)
+    ctx = named_family_context(g, r, tuple(e.universe))
     if not any(ctx.istate(w) for w in e.members):
         return False
     members = sorted(e.members)
@@ -515,15 +604,16 @@ def pairwise_is_controllability_family(
 
 
 def submask_edge_targets(
-    ctx: _FamilyContext, chain: list[int], w: int, ev: str
+    ctx: SimpleNamespace, chain: list[int], w: int, ev: str
 ) -> list[int]:
     """Successors of member ``w`` under ``ev`` by brute enumeration.
 
     Every nonempty submask of a chain member inside the pairs that
     ``w``'s paired moves reach, kept when it matches all of ``w``'s
     moves; the oracle for the hitting-set enumeration in assembly.
+    ``ctx`` is a ``named_family_context``.
     """
-    pairs = tuple(ctx.universe)
+    pairs = ctx.universe
     index = {p: i for i, p in enumerate(pairs)}
     post = 0
     for i in ctx.bits(w):
@@ -553,7 +643,7 @@ def closure_supervisor(
     if not pairwise_is_controllability_family(e, g, r):
         raise NotAFamily("input does not satisfy the controllability conditions")
     closure = downward_closure(e)
-    ctx = _FamilyContext(g, r, closure.universe)
+    ctx = named_family_context(g, r, tuple(closure.universe))
     chain = _maximal(closure.members)
     initial = sorted(
         w for w in closure.members if w & ~ctx.initial_mask == 0 and ctx.istate(w)
@@ -591,6 +681,32 @@ def closure_supervisor(
     return SupervisorAutomaton(
         automaton=aut, members={names[w]: closure.pairs_of(w) for w in order}
     )
+
+
+def bounded_language_included(a: Automaton, b: Automaton, bound: int) -> bool:
+    """Is every trace of ``a`` of length at most ``bound`` one of ``b``?
+
+    Explores pairs (state of a, subset of b's states) level by level,
+    for ``bound`` levels or until no new pair is reached; the oracle for
+    the level semantics of ``language_included``'s exploration.
+    """
+    require_same_alphabet(a, b)
+    b0 = frozenset(b.initial)
+    frontier = [(x, b0) for x in a.initial]
+    seen = set(frontier)
+    for _ in range(bound):
+        nxt = []
+        for x, bs in frontier:
+            for ev in a.alphabet.events:
+                for x1 in a.successors(x, ev):
+                    bs1 = frozenset(t for z in bs for t in b.successors(z, ev))
+                    if not bs1:
+                        return False
+                    if (x1, bs1) not in seen:
+                        seen.add((x1, bs1))
+                        nxt.append((x1, bs1))
+        frontier = nxt
+    return True
 
 
 def isomorphic(a: Automaton, b: Automaton) -> bool:

@@ -45,6 +45,7 @@ from instances import (
 )
 from oracles import (
     closure_supervisor,
+    named_family_context,
     pairwise_is_controllability_family,
     submask_edge_targets,
 )
@@ -118,6 +119,7 @@ def test_hitting_set_targets_agree_with_submask_enumeration():
     compared = nonempty = 0
     for g, r, fix in small_instances(80, 320_000):
         ctx = fix.ctx
+        named = named_family_context(g, r, tuple(ctx.universe))
         chains = [fix.antichain]
         chains += [
             _maximal(rng.randint(0, ctx.full) for _ in range(rng.randint(1, 4)))
@@ -126,7 +128,7 @@ def test_hitting_set_targets_agree_with_submask_enumeration():
         for chain in chains:
             for w in rng.sample(range(ctx.full + 1), min(ctx.full + 1, 40)):
                 for ev in g.alphabet.events:
-                    expected = submask_edge_targets(ctx, chain, w, ev)
+                    expected = submask_edge_targets(named, chain, w, ev)
                     assert _hitting_sets(chain, ctx.obligations(w, ev)) == expected
                     compared += 1
                     nonempty += bool(expected)

@@ -30,6 +30,7 @@ from instances import (
     scanner_r,
     scanner_s,
 )
+from oracles import bounded_language_included
 
 
 def test_scanner_plant_is_valid():
@@ -292,25 +293,30 @@ def test_deterministic_reach_is_singleton():
             assert len(reach(a, seq)) <= 1
 
 
-# --- bounded language inclusion ---------------------------------------
+# --- language inclusion -----------------------------------------------
 
 
 def test_language_inclusion_reflexive():
     g = scanner_g()
-    assert language_included(g, g, 10)
+    assert language_included(g, g)
+    assert bounded_language_included(g, g, 10)
 
 
 def test_language_inclusion_product_in_specification():
     prod = sync_product(scanner_s(), scanner_g())
-    assert language_included(prod, scanner_r(), 12)
+    assert language_included(prod, scanner_r())
+    assert bounded_language_included(prod, scanner_r(), 12)
 
 
 def test_language_inclusion_witness():
     a = make_automaton(("l", "l1"), ("a", "b", "c"), (("a", "l", "b"), ("b", "l1", "c")), ("a",))
     b = make_automaton(("l", "l1"), ("a",), (("a", "l", "a"),), ("a",))
-    assert not language_included(a, b, 2)
-    assert language_included(b, a, 1)
-    assert not language_included(b, a, 2)
+    assert not language_included(a, b)
+    assert not language_included(b, a)
+    # Level semantics: a's "l l1" is two letters long; b's "l l" too.
+    assert not bounded_language_included(a, b, 2)
+    assert bounded_language_included(b, a, 1)
+    assert not bounded_language_included(b, a, 2)
 
 
 def test_language_inclusion_default_explores_every_configuration():
@@ -329,8 +335,8 @@ def test_language_inclusion_default_explores_every_configuration():
     b = make_automaton(("a", "b"), states, moves, ("s",))
     assert b.n_states == 9
     assert not language_included(a, b)
-    assert language_included(a, b, 12)
-    assert not language_included(a, b, 13)
+    assert bounded_language_included(a, b, 12)
+    assert not bounded_language_included(a, b, 13)
     assert language_included(b, a)
 
 

@@ -20,6 +20,8 @@ from instances import (
     scanner_g,
     scanner_r,
     scanner_s,
+    separator_instance,
+    separator_product,
 )
 
 
@@ -116,6 +118,29 @@ def test_uniform_on_state_names_with_commas(tmp_path, capsys):
     )
     assert run_command(["uniform", str(path), str(path)]) == 0
     assert "is uniform" in capsys.readouterr().out
+
+
+def test_synthesize_and_verify_on_colliding_member_ids(tmp_path, capsys):
+    g, r = separator_instance()
+    paths = [str(tmp_path / name) for name in ("G.aut", "R.aut", "S.aut")]
+    save_automaton(g, paths[0])
+    save_automaton(r, paths[1])
+    assert run_command(["synthesize", *paths[:2], "-o", paths[2]]) == 0
+    text = Path(paths[2]).read_text()
+    assert "state W{x1:z0,x1:z1}\n" in text
+    assert "state W{x1:z0\\,x1\\:z1}\n" in text
+    assert run_command(["verify", paths[2], *paths[:2]]) == 0
+    assert run_command(["admissible", paths[2], paths[0]]) == 0
+    assert "solution: True" in capsys.readouterr().out
+
+
+def test_verify_and_admissible_on_colliding_product_ids(tmp_path):
+    s, g = separator_product()
+    s_path, g_path = str(tmp_path / "S.aut"), str(tmp_path / "G.aut")
+    save_automaton(s, s_path)
+    save_automaton(g, g_path)
+    assert run_command(["admissible", s_path, g_path]) == 0
+    assert run_command(["verify", s_path, g_path, g_path]) == 0
 
 
 def test_alphabet_mismatch_is_usage_error(files):

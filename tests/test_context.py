@@ -1,9 +1,10 @@
 """The family context built from universe masks against the named builder.
 
 ``_FamilyContext`` builds its obligation masks from one universe mask
-per plant and per specification state and reads only successor tables.
-Every field is compared with ``oracles.named_family_context``, which
-builds them pair by pair from named successors, and ``good_mask`` with
+per plant and per specification state and reads only successor tables,
+and keeps each in one per-event table.  Every field is compared with
+``oracles.named_family_context``, which builds the masks pair by pair
+from named successors and groups them by event, and ``good_mask`` with
 a per-pair test of the forward obligations.  The family fixpoint, the
 family check and supervisor assembly are shown to make no named
 successor query at all, and the fixpoint and its verdict name no pair.
@@ -97,9 +98,10 @@ def assert_same_context(g, r, universe):
     want = named_family_context(g, r, tuple(universe))
     for name in FIELDS:
         assert getattr(got, name) == getattr(want, name), name
-    # Equal lists hide key order; the backward scan walks it.
-    for f_got, f_want in zip(got.forward + got.backward, want.forward + want.backward):
-        assert list(f_got) == list(f_want)
+    # Equal dicts hide key order; the per-event scans walk it.
+    assert list(got.forward) == list(want.forward) == list(g.alphabet.events)
+    assert list(got.backward) == list(want.backward)
+    assert set(got.backward) <= g.alphabet.required
     return got, want
 
 
@@ -110,8 +112,8 @@ def test_context_fields_agree_with_named_builder():
     for g, r in cases:
         for universe in universes(g, r, rng):
             got, _ = assert_same_context(g, r, universe)
-            obliged += sum(map(len, got.forward))
-            backward += sum(map(len, got.backward))
+            obliged += sum(len(table) for _, table in got.forward.values())
+            backward += sum(map(len, got.backward.values()))
     assert obliged > 1000 and backward > 500
 
 
@@ -153,7 +155,7 @@ def test_good_mask_agrees_with_per_pair_check():
                     want = sum(
                         1 << i
                         for i in range(ctx.n)
-                        if all(t & ob for ob in named.forward[i].get(ev, ()))
+                        if all(t & ob for ob in named.pair_forward[i].get(ev, ()))
                     )
                     assert ctx.good_mask(ev, t) == want
                     # the cached answer is the same

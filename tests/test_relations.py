@@ -23,6 +23,7 @@ from ccsynth import (
     random_instance,
     sync_product,
 )
+from ccsynth import relations
 from ccsynth.relations import clause_violations, inverse_initial_condition
 
 from instances import (
@@ -326,8 +327,8 @@ def test_uniform_alphabet_mismatch():
 
 
 def test_uniform_on_state_names_with_commas():
-    # The product id "(a,b,a)" names both ("a,b", "a") and ("a", "b,a"), so
-    # sync_product(g, g) cannot be built; uniformity names no product state.
+    # The product id "(a,b,a)" would name both ("a,b", "a") and ("a", "b,a");
+    # uniformity walks integer codes and names no product state.
     g = make_automaton(
         ("e",),
         ("a", "a,b", "b,a"),
@@ -338,6 +339,33 @@ def test_uniform_on_state_names_with_commas():
     diagonal = rel(g, g, [(x, x) for x in g.states])
     for phi, verdict in ((pairs_universe(g, g), False), (diagonal, True)):
         assert is_uniform(phi, g, g) is named_is_uniform(phi, g, g) is verdict
+
+
+def test_uniform_on_an_empty_relation_walks_nothing(monkeypatch):
+    # 30 states each and an empty universe: the walk would reach 900 x 898
+    # quadruples, none of which can fire the clause.
+    spec = InstanceSpec(
+        g_states=30,
+        r_states=30,
+        events=3,
+        density=0.08,
+        uncontrollable_fraction=0.34,
+        required_fraction=0.5,
+        seed=6,
+    )
+    g, r = random_instance(spec)
+    empty = pairs_universe(g, r)
+    assert len(empty) == 0
+    small = pairs_universe(diamond_g(), diamond_r())
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("product walked")
+
+    monkeypatch.setattr(relations, "product_walk", no_walk)
+    assert is_uniform(empty, g, r)
+    assert is_uniform(PairRelation(diamond_g(), diamond_r(), ()), diamond_g(), diamond_r())
+    with pytest.raises(AssertionError, match="product walked"):
+        is_uniform(small, diamond_g(), diamond_r())
 
 
 def test_uniformity_and_fastpath_agree_with_the_named_references():

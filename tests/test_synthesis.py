@@ -2,6 +2,7 @@ import pytest
 
 from ccsynth import (
     CapExceeded,
+    InstanceSpec,
     NotAFamily,
     NotCcSimulation,
     PairRelation,
@@ -14,10 +15,12 @@ from ccsynth import (
     greatest_family,
     holds,
     initial_condition,
+    is_admissible,
     is_controllability_family,
     is_solvable,
     make_automaton,
     pairs_universe,
+    random_instance,
     sync_product,
     synthesize,
     verify_solution,
@@ -42,8 +45,10 @@ from instances import (
     scanner_g,
     scanner_r,
     scanner_s,
+    separator_instance,
+    separator_product,
 )
-from oracles import f_step, isomorphic
+from oracles import f_step, isomorphic, named_is_admissible
 
 LADDER_UNIVERSE = (
     ("x0", "z0"),
@@ -461,3 +466,36 @@ def test_bisimilarity_fails_on_uncoverable_initial():
     g = make_automaton(("e",), ("x0",), (), ("x0",))
     r = make_automaton(("e",), ("z0", "z1"), (("z1", "e", "z1"),), ("z0", "z1"))
     assert not bisimilarity_solvable(g, r)
+
+
+# --- state ids holding separators ------------------------------------------
+
+
+def test_colliding_member_ids_are_escaped():
+    g, r = separator_instance()
+    out = synthesize(g, r)
+    sup = out.supervisor
+    assert sup.members["W{x1:z0,x1:z1}"] == (("x1", "z0"), ("x1", "z1"))
+    assert sup.members["W{x1:z0\\,x1\\:z1}"] == (("x1", "z0,x1:z1"),)
+    assert out.report.overall
+    # Every id is escaped; here only the renamed state's ids change.
+    plain = synthesize(*random_instance(InstanceSpec(3, 3, 2, seed=9))).supervisor
+    escaped = "z0\\,x1\\:z1"
+    assert sup.automaton.states == tuple(
+        name.replace("z2", escaped) for name in plain.automaton.states
+    )
+    assert plain.automaton.states[3] == "W{x1:z2}"
+
+
+def test_colliding_product_ids_are_escaped():
+    s, g = separator_product()
+    prod = sync_product(s, g)
+    assert prod.pair_of == {
+        "(a\\,b,a)": ("a,b", "a"),
+        "(a,b\\,a)": ("a", "b,a"),
+    }
+    assert is_admissible(s, g) == named_is_admissible(s, g) == (True, None)
+    assert verify_solution(s, g, g).overall
+    # Without a collision, product ids stay unescaped.
+    diamond = sync_product(diamond_g(), diamond_g(), full=True)
+    assert all(name == f"({p.left},{p.right})" for name, p in diamond.pair_of.items())
