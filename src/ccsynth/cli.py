@@ -122,13 +122,13 @@ def _cmd_admissible(args, report: _Report) -> int:
     return 0 if ok else 1
 
 
-def _report_fixpoint(report: _Report, g: Automaton, r: Automaton, fix) -> bool:
+def _report_fixpoint(report: _Report, fix) -> bool:
     """Record the fixpoint's stats, and the counterexample when unsolvable."""
     report.stats["universe_size"] = fix.ctx.n
     report.stats["iterations"] = fix.iterations
     if fix.solvable():
         return True
-    report.counterexample = solvability_counterexample(g, r, fix)
+    report.counterexample = solvability_counterexample(fix)
     return False
 
 
@@ -136,7 +136,7 @@ def _cmd_solvable(args, report: _Report) -> int:
     g, r = _load_pair(args.g, args.r)
     fix = family_fixpoint(g, r, _cap())
     report.stats["family_size"] = len(fix.antichain)
-    ok = report.result = _report_fixpoint(report, g, r, fix)
+    ok = report.result = _report_fixpoint(report, fix)
     report.lines.append("solvable" if ok else "unsolvable")
     return 0 if ok else 1
 
@@ -144,7 +144,7 @@ def _cmd_solvable(args, report: _Report) -> int:
 def _cmd_synthesize(args, report: _Report) -> int:
     g, r = _load_pair(args.g, args.r)
     out = synthesize(g, r, _cap(), reachable_only=not args.full)
-    if not _report_fixpoint(report, g, r, out.fixpoint):
+    if not _report_fixpoint(report, out.fixpoint):
         report.result = False
         report.lines.append("unsolvable; no supervisor written")
         return 1

@@ -30,15 +30,14 @@ states per left state, so a clause test is a mask operation instead of
 a loop over successor pairs (the bit-parallel idea of Henzinger,
 Henzinger & Kopke, FOCS 1995, with the pair-by-pair deletion order
 kept); ``PairRelation`` holds such rows.  Each deletion is logged as a
-tuple of integers; state names, ``_Deletion`` records and their
-candidate pairs are built only for the pairs a counterexample looks
-up, so a check that holds names nothing.
+tuple of integers; a counterexample names only the steps of the
+cascade it walks, so a check that holds names nothing.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Mapping, Set
+from collections.abc import Set
 from dataclasses import asdict, dataclass, replace
 from functools import reduce
 from operator import and_, or_
@@ -54,45 +53,42 @@ ISTATE = "istate"
 
 @dataclass(frozen=True)
 class RelationKind:
-    """Clause selection for the greatest-relation computation."""
+    """Clause selection for the greatest-relation computation.
+
+    A check under any kind demands the left-initial condition;
+    ``check_inverse_initial`` adds the right-initial one.
+    """
 
     forward_events: frozenset[str]
     backward_events: frozenset[str] = frozenset()
-    check_initial: bool = True
     check_inverse_initial: bool = False
-    name: str = "custom"
 
     @staticmethod
     def simulation(alphabet) -> "RelationKind":
-        return RelationKind(frozenset(alphabet.events), frozenset(), True, False, "sim")
+        return RelationKind(frozenset(alphabet.events))
 
     @staticmethod
     def cc_simulation(alphabet) -> "RelationKind":
-        return RelationKind(
-            frozenset(alphabet.events), alphabet.required, True, False, "ccsim"
-        )
+        return RelationKind(frozenset(alphabet.events), alphabet.required)
 
     @staticmethod
     def bisimulation(alphabet) -> "RelationKind":
         # A single relation whose forward clause holds in both directions
         # is exactly one that is a simulation alongside its inverse.
-        return RelationKind(
-            frozenset(alphabet.events), frozenset(alphabet.events), True, True, "bisim"
-        )
+        events = frozenset(alphabet.events)
+        return RelationKind(events, events, True)
 
     @staticmethod
     def uc_simulation(alphabet) -> "RelationKind":
-        return RelationKind(alphabet.uncontrollable, frozenset(), True, False, "ucsim")
+        return RelationKind(alphabet.uncontrollable)
 
     @staticmethod
     def ucr_simulation(alphabet) -> "RelationKind":
-        return RelationKind(
-            alphabet.uncontrollable, alphabet.required, True, False, "ucrsim"
-        )
+        return RelationKind(alphabet.uncontrollable, alphabet.required)
 
     @staticmethod
     def simulation_wrt(events) -> "RelationKind":
-        return RelationKind(frozenset(events), frozenset(), True, False, "sim-wrt")
+        return RelationKind(frozenset(events))
 
     @staticmethod
     def named(name: str, alphabet) -> "RelationKind":
@@ -177,15 +173,6 @@ class Counterexample:
         }
 
 
-@dataclass
-class _Deletion:
-    clause: str
-    event: str
-    successor: str
-    time: int
-    candidates: tuple[tuple[str, str], ...]
-
-
 def _bits(mask: int):
     """Indices of the set bits of ``mask``, ascending."""
     while mask:
@@ -257,93 +244,59 @@ class PairRelation(Set):
         return f"PairRelation({list(self)!r})"
 
 
-class DeletionReasons(Mapping):
-    """Named, read-only view of a refinement's deletion log.
-
-    Maps each deleted pair to its ``_Deletion`` record, in deletion
-    order.  A record, with its state names and candidate witnesses, is
-    built only when its pair is looked up, and then kept; size and
-    membership name nothing.  Like ``PairRelation``, it holds the log,
-    not the refinement.
-    """
-
-    def __init__(self, left: Automaton, right: Automaton, log: list):
-        self._left, self._right, self._log = left, right, log
-        self._named: dict[int, _Deletion] = {}
-        self._time: dict[int, int] | None = None
-
-    def _log_time(self, pair) -> int | None:
-        ij = _pair_indices(self._left, self._right, pair)
-        if ij is None:
-            return None
-        if self._time is None:
-            self._time = {entry[0]: t for t, entry in enumerate(self._log)}
-        return self._time.get(ij[0] * self._right.n_states + ij[1])
-
-    def __contains__(self, pair) -> bool:
-        return self._log_time(pair) is not None
-
-    def __getitem__(self, pair) -> _Deletion:
-        time = self._log_time(pair)
-        if time is None:
-            raise KeyError(pair)
-        d = self._named.get(time)
-        if d is None:
-            d = self._named[time] = self._name(time)
-        return d
-
-    def _name(self, time: int) -> _Deletion:
-        """The record of log entry ``time``."""
-        a, b = self._left, self._right
-        xs, zs = a.states, b.states
-        pid, clause, k, succ = self._log[time]
-        xi, zi = divmod(pid, b.n_states)
-        if clause == FORWARD:
-            cands = tuple((xs[succ], zs[z1]) for z1 in b.successor_table[k][zi])
-            name = xs[succ]
-        else:
-            cands = tuple((xs[x1], zs[succ]) for x1 in a.successor_table[k][xi])
-            name = zs[succ]
-        return _Deletion(clause, a.alphabet.events[k], name, time, cands)
-
-    def __len__(self) -> int:
-        return len(self._log)
-
-    def __iter__(self):
-        xs, zs, nb = self._left.states, self._right.states, self._right.n_states
-        for pid, *_ in self._log:
-            xi, zi = divmod(pid, nb)
-            yield xs[xi], zs[zi]
-
-
 class RefineResult:
     """Greatest relation for a kind's clauses, with its deletion log.
 
     ``alive`` is the relation, over the refinement's bit rows.  Each
     deletion is logged as integers, in deletion order, as (pair code
-    ``x * |right| + z``, clause, event index, successor index);
-    ``reasons`` names a deletion, with its candidate witnesses, only
-    when its pair is looked up.
+    ``x * |right| + z``, clause, event index, successor index).
     """
 
     def __init__(self, left: Automaton, right: Automaton, rows: list[int], log: list):
         self.deletions = len(log)
         self.alive = PairRelation.from_rows(left, right, rows)
-        self.reasons = DeletionReasons(left, right, log)
+        self._log = log
+        self._times: dict[int, int] | None = None
+
+    def _time(self, code: int) -> int:
+        """Deletion time of pair code ``code``; KeyError if it survived."""
+        if self._times is None:
+            self._times = {entry[0]: t for t, entry in enumerate(self._log)}
+        return self._times[code]
+
+    def _deletion_time(self, pair) -> int:
+        """Deletion time of a named pair; KeyError if it was not deleted."""
+        ij = _pair_indices(self.alive.left, self.alive.right, pair)
+        if ij is None:
+            raise KeyError(pair)
+        return self._time(ij[0] * self.alive.right.n_states + ij[1])
 
     def root_cause(self, pair: tuple[str, str]) -> Counterexample:
-        """Walk the deletion cascade from ``pair`` to an intrinsic violation."""
+        """Walk the deletion cascade from ``pair`` to an intrinsic violation.
+
+        The walk runs on pair codes: each step's candidate witnesses are
+        read from the successor tables, and only the steps are named.
+        """
+        a, b = self.alive.left, self.alive.right
+        nb, events = b.n_states, a.alphabet.events
         chain: list[Step] = []
-        current = pair
+        time = self._deletion_time(pair)
         while True:
-            d = self.reasons[current]
-            chain.append(Step(current[0], current[1], d.clause, d.event, d.successor))
-            if not d.candidates:
+            code, clause, k, succ = self._log[time]
+            xi, zi = divmod(code, nb)
+            if clause == FORWARD:
+                cands = [succ * nb + z1 for z1 in b.successor_table[k][zi]]
+                name = a.states[succ]
+            else:
+                cands = [x1 * nb + succ for x1 in a.successor_table[k][xi]]
+                name = b.states[succ]
+            chain.append(Step(a.states[xi], b.states[zi], clause, events[k], name))
+            if not cands:
                 break
             # Every candidate was already dead when this pair was deleted;
             # following the earliest death keeps the walk strictly
             # decreasing in time, so it terminates at a rootless deletion.
-            current = min(d.candidates, key=lambda c: self.reasons[c].time)
+            time = min(map(self._time, cands))
         root = chain[-1]
         return Counterexample(
             kind=root.clause,
@@ -570,7 +523,7 @@ def initial_cascade(res: RefineResult, unpaired, note: str) -> Counterexample:
     the state, is attached.
     """
     state, cands = unpaired
-    first = min(cands, key=lambda c: res.reasons[c].time)
+    first = min(cands, key=res._deletion_time)
     return replace(res.root_cause(first), note=f"{note} {state}")
 
 
@@ -581,9 +534,9 @@ def initial_counterexample(
 
     Returns None when they hold; otherwise the deletion cascade of the
     first initial state that lost every pairing.  Reads only
-    ``res.alive`` and ``res.reasons``.
+    ``res.alive`` and, on failure, its deletion cascade.
     """
-    hit = kind.check_initial and unpaired_initial(res.alive)
+    hit = unpaired_initial(res.alive)
     if hit:
         return initial_cascade(res, hit, "no pairing survives for initial state")
     hit = kind.check_inverse_initial and unpaired_initial(res.alive, inverse=True)

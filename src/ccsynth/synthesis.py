@@ -223,14 +223,8 @@ class _FamilyContext:
         return {ob for bit, obs in self.forward[ev][1] if w & bit for ob in obs}
 
 
-def universe_kind(alphabet) -> RelationKind:
-    return RelationKind(
-        alphabet.uncontrollable, alphabet.required, False, False, "ucr-clauses"
-    )
-
-
 def _universe_refinement(g: Automaton, r: Automaton) -> RefineResult:
-    return refine(g, r, universe_kind(g.alphabet))
+    return refine(g, r, RelationKind.ucr_simulation(g.alphabet))
 
 
 def pairs_universe(g: Automaton, r: Automaton) -> PairRelation:
@@ -383,9 +377,7 @@ def is_solvable(g: Automaton, r: Automaton, cap: int | None = None) -> bool:
     return family_fixpoint(g, r, cap).solvable()
 
 
-def solvability_counterexample(
-    g: Automaton, r: Automaton, fix: _FamilyFixpoint
-) -> Counterexample | None:
+def solvability_counterexample(fix: _FamilyFixpoint) -> Counterexample | None:
     """Explain an unsolvable instance.
 
     If some initial plant state has every initial pairing eliminated from
@@ -400,7 +392,7 @@ def solvability_counterexample(
     if hit:
         return initial_cascade(res, hit, "no admissible pairing for initial state")
     remaining = list(fix.antichain)
-    for x0idx, x0 in enumerate(g.initial):
+    for x0idx, x0 in enumerate(fix.ctx.g.initial):
         mask = fix.ctx.istate_masks[x0idx]
         remaining = [m for m in remaining if m & mask]
         if not remaining:

@@ -33,9 +33,8 @@ from ccsynth.relations import (
     FORWARD,
     Counterexample,
     PairRelation,
-    RefineResult,
     RelationKind,
-    _Deletion,
+    Step,
 )
 from ccsynth.synthesis import (
     PairSetFamily,
@@ -49,6 +48,15 @@ from ccsynth.synthesis import (
 
 
 @dataclass
+class _Deletion:
+    clause: str
+    event: str
+    successor: str
+    time: int
+    candidates: tuple[tuple[str, str], ...]
+
+
+@dataclass
 class PairwiseRefineResult:
     """``refine``'s result as the pair-by-pair engine builds it: the
     relation converted from named alive pairs and every deletion reason,
@@ -58,8 +66,29 @@ class PairwiseRefineResult:
     reasons: dict[tuple[str, str], _Deletion] = field(default_factory=dict)
     deletions: int = 0
 
-    # The cascade walk reads only ``reasons``.
-    root_cause = RefineResult.root_cause
+    def _deletion_time(self, pair) -> int:
+        return self.reasons[pair].time
+
+    def root_cause(self, pair: tuple[str, str]) -> Counterexample:
+        """Walk the named cascade from ``pair``, following the earliest
+        death among each step's candidates, to a rootless deletion."""
+        chain: list[Step] = []
+        current = pair
+        while True:
+            d = self.reasons[current]
+            chain.append(Step(current[0], current[1], d.clause, d.event, d.successor))
+            if not d.candidates:
+                break
+            current = min(d.candidates, key=self._deletion_time)
+        root = chain[-1]
+        return Counterexample(
+            kind=root.clause,
+            left=root.left,
+            right=root.right,
+            event=root.event,
+            successor=root.successor,
+            chain=tuple(chain),
+        )
 
 
 def pairwise_refine(

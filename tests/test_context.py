@@ -204,7 +204,7 @@ def test_fixpoint_and_verdict_name_no_pair(monkeypatch):
     for g, r in cases:
         fix = family_fixpoint(g, r)
         if fix.solvable():
-            assert solvability_counterexample(g, r, fix) is None
+            assert solvability_counterexample(fix) is None
             solvable += 1
     assert solvable >= 20
     with pytest.raises(AssertionError, match="pair named"):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -6,10 +7,15 @@ from hypothesis import strategies as st
 
 from ccsynth import (
     ParseError,
+    ValidationError,
     export_dot,
+    load_automaton,
+    make_automaton,
     parse_automaton,
+    save_automaton,
     serialize_automaton,
     sync_product,
+    synthesize,
 )
 from ccsynth.testkit import InstanceSpec, random_instance
 
@@ -23,6 +29,8 @@ from instances import (
     scanner_g,
     scanner_r,
     scanner_s,
+    separator_instance,
+    separator_product,
 )
 from oracles import reference_parse_automaton
 
@@ -94,6 +102,46 @@ def test_serialize_transition_free_automaton():
     a = make_automaton(("a",), ("s",), (), ("s",))
     text = serialize_automaton(a)
     assert text == "event a\nstate s initial\n"
+
+
+# Names that a file line would not read back as one token: an extra
+# attribute, a comment, or a missing field.  ``Alphabet`` already
+# refuses an empty event name.
+UNWRITABLE = ["a b", "a#b", "#", "a\tb", " a", "a\n"]
+
+
+@pytest.mark.parametrize(
+    "what, name",
+    [("event", n) for n in UNWRITABLE] + [("state", n) for n in UNWRITABLE + [""]],
+)
+def test_names_that_would_not_parse_back_are_refused(tmp_path, what, name):
+    if what == "event":
+        a = make_automaton(("ok", name), ("s",), (("s", name, "s"),), ("s",))
+    else:
+        a = make_automaton(("e",), ("s", name), (("s", "e", name),), ("s",))
+    message = "^" + re.escape(f"{what} name {name!r} ")
+    with pytest.raises(ValidationError, match=message):
+        serialize_automaton(a)
+    path = tmp_path / "A.aut"
+    with pytest.raises(ValidationError):
+        save_automaton(a, path)
+    assert not path.exists()
+
+
+def test_first_unwritable_name_is_reported():
+    a = make_automaton(("e", "f g"), ("s", "t u"), (), ("s",))
+    with pytest.raises(ValidationError, match="^event name 'f g' "):
+        serialize_automaton(a)
+
+
+def test_escaped_ids_round_trip(tmp_path):
+    sup = synthesize(*separator_instance()).supervisor.automaton
+    prod = sync_product(*separator_product())
+    assert "W{x1:z0\\,x1\\:z1}" in sup.states and "(a\\,b,a)" in prod.states
+    for a in (sup, prod):
+        assert parse_automaton(serialize_automaton(a)) == a
+        save_automaton(a, tmp_path / "A.aut")
+        assert load_automaton(tmp_path / "A.aut") == a
 
 
 @settings(max_examples=40, deadline=None)

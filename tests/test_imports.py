@@ -1,5 +1,6 @@
-"""Every name a ``ccsynth`` module imports is used there, and every
-public function of ``ccsynth.testkit`` has a caller outside the tests.
+"""Every name a ``ccsynth`` module imports is used there, every
+parameter of a ``ccsynth`` function is read by it, and every public
+function of ``ccsynth.testkit`` has a caller outside the tests.
 
 The exceptions are the names ``perfbench/tracer.py`` wraps by looking
 them up on that module (its ``WRAPPED`` table), which stay bound even
@@ -63,6 +64,43 @@ def test_modules_import_only_what_they_use_or_the_tracer_wraps():
         extra = [n for n in unused if n not in wrapped.get(path.stem, ())]
         if extra:
             found[path.name] = extra
+    assert found == {}
+
+
+def unused_parameters(source: str) -> list[str]:
+    """``function.parameter`` for each parameter its function never reads,
+    in its own body or in a function nested there."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = fn.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        nodes = (n for stmt in body for n in ast.walk(stmt))
+        read = {n.id for n in nodes if isinstance(n, ast.Name)}
+        name = getattr(fn, "name", "<lambda>")
+        out += [f"{name}.{p}" for p in params if p not in read]
+    return out
+
+
+def test_unused_parameters_are_flagged():
+    source = (
+        "def f(a, b, *rest, c, **kw):\n"
+        "    def inner():\n"
+        "        return b\n"
+        "    return a, inner, lambda x, y: y\n"
+    )
+    assert unused_parameters(source) == ["f.c", "f.rest", "f.kw", "<lambda>.x"]
+
+
+def test_functions_read_every_parameter():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        unused = unused_parameters(path.read_text(encoding="utf-8"))
+        if unused:
+            found[path.name] = unused
     assert found == {}
 
 

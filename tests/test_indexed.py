@@ -32,11 +32,7 @@ from ccsynth import (
 )
 from ccsynth import relations, synthesis
 from ccsynth.cli import run_command
-from ccsynth.synthesis import (
-    _assemble_supervisor,
-    family_fixpoint,
-    universe_kind,
-)
+from ccsynth.synthesis import _assemble_supervisor, family_fixpoint
 from ccsynth.testkit import InstanceSpec, random_instance
 
 from helpers import random_alphabet, random_automaton
@@ -59,7 +55,7 @@ def random_pairs(count, seed):
 
 
 def kinds_for(alphabet):
-    return [RelationKind.named(k, alphabet) for k in KINDS] + [universe_kind(alphabet)]
+    return [RelationKind.named(k, alphabet) for k in KINDS]
 
 
 def assert_same_refinement(a, b, kind):
@@ -67,17 +63,11 @@ def assert_same_refinement(a, b, kind):
     assert got.alive == want.alive
     assert len(got.alive) == len(want.alive)
     assert got.deletions == want.deletions
-    assert got.reasons.keys() == want.reasons.keys()
-    assert list(got.reasons) == list(want.reasons)
+    # Deletion times are distinct, so equal times on every pair the oracle
+    # deleted mean the same pairs, deleted in the same order.
     for pair, d in want.reasons.items():
-        e = got.reasons[pair]
-        assert (e.clause, e.event, e.successor, e.time, e.candidates) == (
-            d.clause,
-            d.event,
-            d.successor,
-            d.time,
-            d.candidates,
-        ), pair
+        assert got._deletion_time(pair) == d.time, pair
+        assert got.root_cause(pair) == want.root_cause(pair), pair
 
 
 def oracle_holds(monkeypatch, a, b, kind):
@@ -259,19 +249,17 @@ def test_canonical_input_is_kept_as_given():
     assert again.transitions is a.transitions
 
 
-class _CountingDeletion(relations._Deletion):
+class _CountingStep(relations.Step):
     built = 0
-    times: list[int] = []
 
     def __init__(self, *args, **kwargs):
         type(self).built += 1
         super().__init__(*args, **kwargs)
-        type(self).times.append(self.time)
 
 
 def test_nothing_is_named_on_success(monkeypatch):
-    monkeypatch.setattr(relations, "_Deletion", _CountingDeletion)
-    _CountingDeletion.built = 0
+    monkeypatch.setattr(relations, "Step", _CountingStep)
+    _CountingStep.built = 0
     g, r = diamond_g(), diamond_r()
     outcome = synthesize(g, r)
     sup = outcome.supervisor.automaton
@@ -279,11 +267,11 @@ def test_nothing_is_named_on_success(monkeypatch):
     # The passing check did delete pairs; none of them was named.
     kind = RelationKind.cc_simulation(r.alphabet)
     assert relations.refine(sync_product(sup, g), r, kind).deletions > 0
-    assert _CountingDeletion.built == 0
+    assert _CountingStep.built == 0
 
     prod = sync_product(scanner_s(), scanner_g())
     res = relations.refine(prod, scanner_r(), RelationKind.cc_simulation(prod.alphabet))
-    assert res.deletions > 0 and _CountingDeletion.built == 0
+    assert res.deletions > 0 and _CountingStep.built == 0
 
     # A passing ``holds`` returns the refinement's rows as the relation:
     # it iterates no relation and names no deletion.
@@ -303,11 +291,12 @@ def test_nothing_is_named_on_success(monkeypatch):
         ok, witness = holds(a, b, k)
         assert ok and isinstance(witness, relations.PairRelation)
         assert relations.refine(a, b, k).deletions > 0
-    assert iterated == [] and _CountingDeletion.built == 0
+    assert iterated == [] and _CountingStep.built == 0
 
+    # A failing check names the steps of its cascade and nothing else.
     ok, cx = holds(prod, scanner_r(), RelationKind.cc_simulation(prod.alphabet))
     assert not ok
-    assert _CountingDeletion.built > 0
+    assert _CountingStep.built == len(cx.chain) > 0
     pinned = ("(y2,x3)", "z2", "cancel", "z4")
     assert (cx.left, cx.right, cx.event, cx.successor) == pinned
     assert (cx.chain[0].left, cx.chain[0].right) == ("(y0,x0)", "z0")
@@ -351,20 +340,17 @@ def test_unsolvable_verdict_names_only_the_pairs_it_reads(
     g, r = scanner_g(), scanner_r()
     save_automaton(g, tmp_path / "G.aut")
     save_automaton(r, tmp_path / "R.aut")
-    monkeypatch.setattr(relations, "_Deletion", _CountingDeletion)
-    _CountingDeletion.built, _CountingDeletion.times = 0, []
+    monkeypatch.setattr(relations, "Step", _CountingStep)
+    _CountingStep.built = 0
     argv = ["solvable", str(tmp_path / "G.aut"), str(tmp_path / "R.aut"), "--json"]
     assert run_command(argv) == 1
     assert json.loads(capsys.readouterr().out)["counterexample"] == SCANNER_UNSOLVABLE
 
-    # Read: the initial pairings, each step of the cascade and the
-    # candidates its earliest-death choice compares.
-    want = pairwise_refine(g, r, universe_kind(g.alphabet))
-    read = {(x0, z0) for x0 in g.initial for z0 in r.initial}
-    for step in SCANNER_UNSOLVABLE["chain"]:
-        read |= set(want.reasons[(step["left"], step["right"])].candidates)
-    assert sorted(_CountingDeletion.times) == sorted(want.reasons[p].time for p in read)
-    assert _CountingDeletion.built == len(read) < want.deletions
+    # The candidates the earliest-death choice compares stay pair codes:
+    # only the three steps of the cascade are named.
+    want = pairwise_refine(g, r, RelationKind.ucr_simulation(g.alphabet))
+    assert _CountingStep.built == len(SCANNER_UNSOLVABLE["chain"]) == 3
+    assert want.deletions > 3
 
 
 NAMES = ("x0", "x1", "x2", "z0", "z1", "z2", "nowhere", None, 0, ())
@@ -383,21 +369,18 @@ def test_views_answer_like_frozen_copies(seed, drawn):
     g, r = random_instance(InstanceSpec(3, 3, 2, density=0.4, seed=seed))
     for kind in kinds_for(g.alphabet):
         res = relations.refine(g, r, kind)
-        frozen = relations.refine(g, r, kind)
-        alive, reasons = frozenset(frozen.alive), dict(frozen.reasons)
+        alive = frozenset(relations.refine(g, r, kind).alive)
+        deleted = pairwise_refine(g, r, kind).reasons
         named = relations.PairRelation(g, r, alive)
         malformed = [("x0",), None, ("x0", "z0", "z0")]
-        for probe in drawn + list(alive) + list(reasons) + malformed:
+        for probe in drawn + list(alive) + list(deleted) + malformed:
             assert (probe in res.alive) == (probe in alive) == (probe in named), probe
-            assert (probe in res.reasons) == (probe in reasons), probe
-            if probe in reasons:
-                assert res.reasons[probe] == reasons[probe]
+            if probe in deleted:
+                assert res._deletion_time(probe) == deleted[probe].time
             else:
                 with pytest.raises(KeyError):
-                    res.reasons[probe]
-        assert len(res.reasons) == len(reasons) == res.deletions
-        assert list(res.reasons) == list(reasons)
-        assert res.reasons == reasons and reasons == res.reasons
+                    res._deletion_time(probe)
+        assert len(deleted) == res.deletions
         # A relation converted from named pairs is the refinement's.
         assert named == res.alive and named == alive and alive == named
         assert list(named) == list(res.alive)
@@ -484,7 +467,7 @@ def test_dropped_refinement_is_freed_without_gc(monkeypatch):
     try:
         monkeypatch.setattr(synthesis, "refine", tracking)
         assert verify_solution(sup, g, r).overall
-        # A failing check names its deletions, which the views keep.
+        # A failing check walks its deletion cascade.
         report = verify_solution(scanner_s(), scanner_g(), scanner_r())
         assert report.cc_counterexample is not None
         assert len(refs) == 2
@@ -492,12 +475,14 @@ def test_dropped_refinement_is_freed_without_gc(monkeypatch):
 
         res = relations.refine(g, r, RelationKind.bisimulation(g.alphabet))
         assert res.deletions and list(res.alive) is not None
-        res.root_cause(next(iter(res.reasons)))
-        alive, reasons = res.alive, res.reasons
+        pairs = ((x, z) for x in g.states for z in r.states)
+        dead = next(p for p in pairs if p not in res.alive)
+        res.root_cause(dead)
+        alive = res.alive
         ref = weakref.ref(res)
         del res
         assert ref() is None
-        # the views outlive the refinement
-        assert len(reasons) > 0 and len(alive) == len(list(alive))
+        # the relation outlives the refinement
+        assert len(alive) == len(list(alive))
     finally:
         gc.enable()

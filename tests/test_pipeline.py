@@ -57,9 +57,9 @@ WORKED = {
 FULL_CLOSURE_BOUND = 1 << 12
 
 
-def expected_payload(g, r, out) -> dict:
+def expected_payload(out) -> dict:
     fix = out.fixpoint
-    cx = solvability_counterexample(g, r, fix)
+    cx = solvability_counterexample(fix)
     return {
         "command": "synthesize",
         "result": out.report.overall if out.solvable else False,
@@ -88,7 +88,7 @@ def compare(g, r, tmp_path, stem, capsys, *, full) -> tuple[int, bytes | None]:
 
     g, r = load_automaton(g_path), load_automaton(r_path)
     lib = synthesize(g, r, reachable_only=not full)
-    assert payload == expected_payload(g, r, lib)
+    assert payload == expected_payload(lib)
     if not lib.solvable:
         assert code == 1
         assert not out.exists() and not dot.exists()

@@ -224,14 +224,12 @@ def test_universe_restriction_never_loses_family_members():
 
 
 def test_uniform_relation_with_initial_pairing_implies_solvable():
-    from ccsynth.synthesis import universe_kind
-
     hits = 0
     for g, r in spec_stream(150, 10100):
         ok, _ = holds(g, r, RelationKind.ucr_simulation(g.alphabet))
         if not ok:
             continue
-        rel = greatest_relation(g, r, universe_kind(g.alphabet))
+        rel = greatest_relation(g, r, RelationKind.ucr_simulation(g.alphabet))
         if is_uniform(rel, g, r):
             assert is_solvable(g, r)
             hits += 1
@@ -239,10 +237,8 @@ def test_uniform_relation_with_initial_pairing_implies_solvable():
 
 
 def test_deterministic_relations_always_uniform():
-    from ccsynth.synthesis import universe_kind
-
     for g, r in spec_stream(100, 10200, deterministic=True):
-        rel = greatest_relation(g, r, universe_kind(g.alphabet))
+        rel = greatest_relation(g, r, RelationKind.ucr_simulation(g.alphabet))
         assert is_uniform(rel, g, r)
 
 

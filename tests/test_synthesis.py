@@ -208,7 +208,7 @@ def test_scanner_without_required_events_solvable():
 def test_solvability_counterexample_scanner():
     g, r = scanner_g(), scanner_r()
     fix = family_fixpoint(g, r)
-    cx = solvability_counterexample(g, r, fix)
+    cx = solvability_counterexample(fix)
     assert cx.kind == "backward"
     assert (cx.left, cx.right, cx.event) == ("x3", "z2", "cancel")
 
@@ -216,7 +216,7 @@ def test_solvability_counterexample_scanner():
 def test_solvability_counterexample_family_level_on_ladder():
     g, r = ladder_g(), ladder_r()
     fix = family_fixpoint(g, r)
-    cx = solvability_counterexample(g, r, fix)
+    cx = solvability_counterexample(fix)
     # the pairing exists in the universe; the family fixpoint kills it
     assert cx.kind == "istate"
     assert cx.left == "x0"
