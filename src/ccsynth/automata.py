@@ -52,10 +52,9 @@ class Alphabet:
         object.__setattr__(self, "events", tuple(self.events))
         object.__setattr__(self, "uncontrollable", frozenset(self.uncontrollable))
         object.__setattr__(self, "required", frozenset(self.required))
+        require_tokens("event", self.events)
         seen = set()
         for name in self.events:
-            if not name:
-                raise ValidationError("event names must be nonempty")
             if name in seen:
                 raise ValidationError(f"duplicate event name {name!r}")
             seen.add(name)
@@ -267,11 +266,24 @@ def _named_table(a: Automaton, transitions: Iterable) -> list:
     return [list(map(successor_entry, row)) for row in table]
 
 
+def require_tokens(what: str, names: Sequence[str]) -> None:
+    """Raise ``ValidationError`` for the first name that a file line
+    would not read back as one token: empty, or holding whitespace or
+    ``#``.  One test over the joined names decides the common case."""
+    joined = "".join(names)
+    if all(names) and joined.split() == [joined] and "#" not in joined:
+        return
+    for name in names:
+        if name.split() != [name] or "#" in name:
+            raise ValidationError(f"{what} name {name!r} is not one file token")
+
+
 def validate_automaton(a: Automaton) -> None:
     """Raise the first violated structural invariant, or return None.
 
     Checks, in order: nonempty initial set, transition events declared,
-    transition endpoints and initial states declared, state ids unique.
+    transition endpoints and initial states declared, state ids unique,
+    state names one file token each (``require_tokens``).
     ``Automaton`` runs it at construction; the transition checks are made
     while named transitions are converted to the successor table, which
     refers to declared states and events only.
@@ -287,6 +299,7 @@ def validate_automaton(a: Automaton) -> None:
             if s in seen:
                 raise DuplicateStateId(f"state id {s!r} declared twice")
             seen.add(s)
+    require_tokens("state", a.states)
 
 
 def require_same_alphabet(a: Automaton, b: Automaton) -> None:
@@ -338,25 +351,24 @@ def product_walk(left, right, n_right: int, order: list[int], table=None):
         i += 1
 
 
-def sync_product(s: Automaton, g: Automaton, *, full: bool = False) -> Automaton:
+def sync_product(s: Automaton, g: Automaton) -> Automaton:
     """Synchronous composition: both factors move together on every event.
 
-    State set is the cartesian product restricted to its reachable part
-    unless ``full`` is given; initial states are all pairs of initials.
-    The result's ``pair_of`` maps each product state id back to its
-    component pair.
+    State set is the reachable part of the cartesian product; initial
+    states are all pairs of initials.  The result's ``pair_of`` maps
+    each product state id back to its component pair.
 
     Runs ``product_walk`` on integer pair codes ``y * |g| + x``.  States
-    are numbered in discovery order (row-major for ``full``), and the
-    walk fills the product's successor table directly, so no named
-    transition is built.  If two states would share an id, every id is
-    built from ``escaped`` component names instead.
+    are numbered in discovery order, and the walk fills the product's
+    successor table directly, so no named transition is built.  If two
+    states would share an id, every id is built from ``escaped``
+    component names instead.
     """
     require_same_alphabet(s, g)
     ng = g.n_states
     si, gi = s.state_index, g.state_index
-    roots = [si[y] * ng + gi[x] for y in s.initial for x in g.initial]
-    order = list(range(s.n_states * ng)) if full else list(roots)
+    order = [si[y] * ng + gi[x] for y in s.initial for x in g.initial]
+    n_roots = len(order)
     table: list[list[tuple[int, ...]]] = [[] for _ in s.alphabet.events]
     for _ in product_walk(s.successor_table, g.successor_table, ng, order, table):
         pass
@@ -366,11 +378,7 @@ def sync_product(s: Automaton, g: Automaton, *, full: bool = False) -> Automaton
         ys, xs = escaped(s.states), escaped(g.states)
         names = [product_state_id(ys[p // ng], xs[p % ng]) for p in order]
     return Automaton.from_table(
-        s.alphabet,
-        names,
-        table,
-        [names[i] for i in (roots if full else range(len(roots)))],
-        pair_of=dict(zip(names, pairs)),
+        s.alphabet, names, table, names[:n_roots], pair_of=dict(zip(names, pairs))
     )
 
 

@@ -45,9 +45,12 @@ def _cap() -> int:
     if raw is None:
         return DEFAULT_UNIVERSE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise CcsynthError(f"CCSYNTH_CAP must be an integer, got {raw!r}") from None
+        cap = None
+    if cap is None or cap < 0:
+        raise CcsynthError(f"CCSYNTH_CAP must be a nonnegative integer, got {raw!r}")
+    return cap
 
 
 def _load_pair(path_a: str, path_b: str) -> tuple[Automaton, Automaton]:

@@ -9,8 +9,8 @@ Format (whitespace separated, ``#`` starts a comment):
 One automaton per file; events and states must be declared before a
 ``trans`` line uses them.  Serialization is canonical: events and states
 in declaration order, transitions sorted; parsing a serialized automaton
-reproduces it exactly, and serialization refuses a name that is not one
-token: empty, or holding whitespace or ``#``.
+reproduces it exactly: ``Automaton`` refuses a name that is not one
+token at construction.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import islice
 from pathlib import Path
 
 from .automata import Alphabet, Automaton, successor_entry
-from .errors import ParseError, ValidationError
+from .errors import ParseError
 
 
 def _error(lineno: int, line: str, index: int, message: str) -> ParseError:
@@ -128,15 +128,7 @@ _LINES_PER_WRITE = 1024
 
 
 def _serialized_lines(a: Automaton):
-    """The lines of ``serialize_automaton(a)``, newline included, after a
-    check that each name parses back as one token (``ValidationError``)."""
-    for what, names in (("event", a.alphabet.events), ("state", a.states)):
-        for name in names:
-            if name.split() != [name] or "#" in name:
-                raise ValidationError(f"{what} name {name!r} is not one file token")
-    if not (a.alphabet.events or a.states):
-        yield "\n"
-        return
+    """The lines of ``serialize_automaton(a)``, newline included."""
     for ev in a.alphabet.events:
         attrs = ""
         if ev in a.alphabet.uncontrollable:
@@ -183,8 +175,7 @@ def load_automaton(path: str | Path) -> Automaton:
 
 
 def save_automaton(a: Automaton, path: str | Path) -> None:
-    """Write ``serialize_automaton(a)`` in chunks of lines, never as one
-    string.  A name that cannot be written raises before the file opens."""
+    """Write ``serialize_automaton(a)`` in chunks of lines, never as one string."""
     lines = _serialized_lines(a)
     chunk = "".join(islice(lines, _LINES_PER_WRITE))
     with open(path, "w", encoding="utf-8") as fh:

@@ -43,7 +43,7 @@ from functools import reduce
 from operator import and_, or_
 
 from .automata import Automaton, product_walk, require_same_alphabet, sync_product
-from .errors import CapExceeded, UniverseMismatch
+from .errors import UniverseMismatch
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -602,49 +602,6 @@ def product_admissibility(
                     event=events[k],
                 )
     return True, None
-
-
-DEFAULT_SUBSET_PAIR_CAP = 100_000
-
-
-def is_state_controllable(
-    s: Automaton, g: Automaton, cap: int = DEFAULT_SUBSET_PAIR_CAP
-) -> bool:
-    """Trace-level admissibility over reach sets.
-
-    For every string s and uncontrollable event e: if the plant can
-    continue with e after s, every supervisor state reachable by s must
-    enable e.  Explored by simultaneous subset construction over pairs
-    (plant reach set, supervisor reach set); the frontier is capped
-    because the construction is worst-case exponential.
-    """
-    require_same_alphabet(s, g)
-    unc = [ev for ev in g.alphabet.events if ev in g.alphabet.uncontrollable]
-    start = (frozenset(g.initial), frozenset(s.initial))
-    queue = deque([start])
-    seen = {start}
-    explored = 0
-    while queue:
-        xs, ys = queue.popleft()
-        explored += 1
-        if explored > cap:
-            raise CapExceeded(explored, cap, "subset-pair frontier")
-        for ev in unc:
-            plant_can = any(g.enables(x, ev) for x in xs)
-            if plant_can and not all(s.enables(y, ev) for y in ys):
-                return False
-        for ev in g.alphabet.events:
-            xs1 = frozenset(t for x in xs for t in g.successors(x, ev))
-            ys1 = frozenset(t for y in ys for t in s.successors(y, ev))
-            if not xs1 or not ys1:
-                # Dead plant side leaves nothing to demand; dead
-                # supervisor side leaves nothing to blame.
-                continue
-            nxt = (xs1, ys1)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return True
 
 
 def is_uniform(phi: PairRelation, g: Automaton, r: Automaton) -> bool:

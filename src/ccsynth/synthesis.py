@@ -457,10 +457,6 @@ class SynthesisOutcome:
         sup = self.supervisor
         return verify_solution(sup.automaton, ctx.g, ctx.r, witness=sup.members)
 
-    @property
-    def iterations(self) -> int:
-        return self.fixpoint.iterations
-
 
 def member_state_id(pairs) -> str:
     return "W{" + ",".join(f"{x}:{z}" for x, z in pairs) + "}"
@@ -719,6 +715,7 @@ def bisimilarity_solvable(g: Automaton, r: Automaton, cap: int | None = None) ->
     the initial-by-initial members jointly cover every initial
     specification state.
     """
+    require_same_alphabet(g, r)
     ab = g.alphabet
     forced = replace(ab, required=frozenset(ab.events))
     g2 = replace(g, alphabet=forced, pair_of=None)

@@ -9,12 +9,15 @@ obligation masks by named successor lookups, the filtering step and
 the family check member by member, the antichain pass scanning pairs
 before events, supervisors by assembly over the materialized closure,
 supervisor variants by filtering named transitions, language inclusion
-up to a bound, and automaton isomorphism by backtracking.  None of them
-ships with the package.
+up to a bound, admissibility at trace level by a subset construction,
+small supervisors by enumeration, and automaton isomorphism by
+backtracking.  None of them ships with the package.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 from collections import deque
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -44,6 +47,7 @@ from ccsynth.synthesis import (
     downward_closure,
     member_state_id,
     pairs_universe,
+    verify_solution,
 )
 
 
@@ -248,43 +252,38 @@ def match_predicate(w: PairRelation, event: str, w2: PairRelation) -> bool:
     return True
 
 
-def named_sync_product(s: Automaton, g: Automaton, *, full: bool = False) -> Automaton:
+def named_sync_product(s: Automaton, g: Automaton) -> Automaton:
     """``sync_product`` over named pairs, normalized by the generic sort.
 
     The oracle for the integer product and its canonical emission.
     """
     require_same_alphabet(s, g)
     roots = [(y, x) for y in s.initial for x in g.initial]
-    if full:
-        order = [(y, x) for y in s.states for x in g.states]
-    else:
-        order = list(roots)
-        seen = set(order)
-        queue = deque(order)
-        while queue:
-            y, x = queue.popleft()
-            for ev in s.alphabet.events:
-                for y1 in s.successors(y, ev):
-                    for x1 in g.successors(x, ev):
-                        if (y1, x1) not in seen:
-                            seen.add((y1, x1))
-                            order.append((y1, x1))
-                            queue.append((y1, x1))
+    order = list(roots)
+    seen = set(order)
+    queue = deque(order)
+    while queue:
+        y, x = queue.popleft()
+        for ev in s.alphabet.events:
+            for y1 in s.successors(y, ev):
+                for x1 in g.successors(x, ev):
+                    if (y1, x1) not in seen:
+                        seen.add((y1, x1))
+                        order.append((y1, x1))
+                        queue.append((y1, x1))
     names = {pair: product_state_id(*pair) for pair in order}
-    present = set(order)
     transitions = [
         (names[(y, x)], ev, names[(y1, x1)])
         for (y, x) in order
         for ev in s.alphabet.events
         for y1 in s.successors(y, ev)
         for x1 in g.successors(x, ev)
-        if (y1, x1) in present
     ]
     return Automaton(
         alphabet=s.alphabet,
         states=tuple(names[p] for p in order),
         transitions=tuple(transitions),
-        initial=tuple(names[p] for p in roots if p in present),
+        initial=tuple(names[p] for p in roots),
         pair_of={names[p]: ProductState(*p) for p in order},
     )
 
@@ -311,6 +310,41 @@ def named_is_admissible(
                         seen.add((y1, x1))
                         queue.append((y1, x1))
     return True, None
+
+
+def trace_controllable(s: Automaton, g: Automaton) -> bool:
+    """Admissibility at trace level, by a subset construction; the
+    reference that ``is_admissible`` is compared against.
+
+    For every string and uncontrollable event e: if the plant can
+    continue with e after the string, every supervisor state the string
+    reaches must enable e.  Explores the pairs (plant reach set,
+    supervisor reach set) of common strings, uncapped: worst-case
+    exponential.
+    """
+    require_same_alphabet(s, g)
+    unc = [ev for ev in g.alphabet.events if ev in g.alphabet.uncontrollable]
+    start = (frozenset(g.initial), frozenset(s.initial))
+    queue = deque([start])
+    seen = {start}
+    while queue:
+        xs, ys = queue.popleft()
+        for ev in unc:
+            plant_can = any(g.enables(x, ev) for x in xs)
+            if plant_can and not all(s.enables(y, ev) for y in ys):
+                return False
+        for ev in g.alphabet.events:
+            xs1 = frozenset(t for x in xs for t in g.successors(x, ev))
+            ys1 = frozenset(t for y in ys for t in s.successors(y, ev))
+            if not xs1 or not ys1:
+                # Dead plant side leaves nothing to demand; dead
+                # supervisor side leaves nothing to blame.
+                continue
+            nxt = (xs1, ys1)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return True
 
 
 def named_is_uniform(phi: PairRelation, g: Automaton, r: Automaton) -> bool:
@@ -736,6 +770,44 @@ def bounded_language_included(a: Automaton, b: Automaton, bound: int) -> bool:
                         nxt.append((x1, bs1))
         frontier = nxt
     return True
+
+
+def small_automata(alphabet: Alphabet, n: int):
+    """Every automaton with states t0 .. t(n-1) over ``alphabet``: each
+    nonempty initial set with each successor table, in a fixed order."""
+    states = tuple(f"t{i}" for i in range(n))
+    subsets = [tuple(j for j in range(n) if m >> j & 1) for m in range(1 << n)]
+    width = len(alphabet.events) * n
+    for init in subsets[1:]:
+        for entries in itertools.product(subsets, repeat=width):
+            table = [entries[k : k + n] for k in range(0, width, n)]
+            yield Automaton.from_table(
+                alphabet, states, table, [states[j] for j in init]
+            )
+
+
+def small_solutions(
+    g: Automaton,
+    r: Automaton,
+    max_states: int,
+    sample: int | None = None,
+    seed: int = 0,
+):
+    """The automata of at most ``max_states`` states over the alphabet
+    that ``verify_solution`` accepts as supervisors for (g, r).
+
+    Built by enumeration alone, so it owes nothing to the synthesis
+    code.  With ``sample``, every one-state automaton is tried but only
+    a seeded sample of ``sample`` automata of each larger size.
+    """
+    rng = random.Random(seed)
+    for n in range(1, max_states + 1):
+        candidates = list(small_automata(g.alphabet, n))
+        if sample is not None and n > 1:
+            candidates = rng.sample(candidates, min(sample, len(candidates)))
+        for t in candidates:
+            if verify_solution(t, g, r).overall:
+                yield t
 
 
 def isomorphic(a: Automaton, b: Automaton) -> bool:

@@ -25,7 +25,6 @@ from ccsynth import (
     is_admissible,
     is_controllability_family,
     is_solvable,
-    is_state_controllable,
     is_uniform,
     language_included,
     save_automaton,
@@ -51,7 +50,7 @@ from instances import (
     scanner_r,
     scanner_s,
 )
-from oracles import brute_greatest_relation, isomorphic
+from oracles import brute_greatest_relation, isomorphic, trace_controllable
 from test_synthesis import expected_diamond_supervisor, expected_diamond_product
 
 
@@ -279,7 +278,7 @@ def test_c11_admissibility_equals_state_controllability():
         agreements = 0
         for g, s in sweep(200, 170_000):
             adm, _ = is_admissible(s, g)
-            agreements += adm == is_state_controllable(s, g)
+            agreements += adm == trace_controllable(s, g)
         assert agreements == 200
 
 

@@ -176,13 +176,6 @@ def test_product_requires_shared_alphabet():
         sync_product(scanner_g(), diamond_g())
 
 
-def test_full_product_contains_unreachable_pairs():
-    s, g = scanner_s(), scanner_g()
-    full = sync_product(s, g, full=True)
-    assert full.n_states == s.n_states * g.n_states
-    assert sync_product(s, g).n_states < full.n_states
-
-
 def test_product_symmetric_up_to_swap():
     rng = random.Random(5)
     for _ in range(25):

@@ -171,6 +171,16 @@ def test_cap_env_var_must_be_integer(files, monkeypatch, capsys):
     assert "CCSYNTH_CAP" in capsys.readouterr().err
 
 
+def test_cap_env_var_must_be_nonnegative(files, monkeypatch, capsys):
+    monkeypatch.setenv("CCSYNTH_CAP", "-1")
+    assert run_command(["solvable", files["dG"], files["dR"]]) == 2
+    err = capsys.readouterr().err
+    assert "CCSYNTH_CAP must be a nonnegative integer, got '-1'" in err
+    monkeypatch.setenv("CCSYNTH_CAP", "0")
+    assert run_command(["solvable", files["dG"], files["dR"]]) == 2
+    assert "exceeds the cap of 0" in capsys.readouterr().err
+
+
 def test_check_uc_kinds_through_cli(files):
     assert run_command(["check", "--kind", "ucsim", files["G"], files["R"]]) == 0
     assert run_command(["check", "--kind", "ucrsim", files["G"], files["R"]]) == 1

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccsynth import (
+    Alphabet,
+    Automaton,
+    DuplicateStateId,
     ParseError,
     ValidationError,
     export_dot,
@@ -105,33 +108,36 @@ def test_serialize_transition_free_automaton():
 
 
 # Names that a file line would not read back as one token: an extra
-# attribute, a comment, or a missing field.  ``Alphabet`` already
-# refuses an empty event name.
-UNWRITABLE = ["a b", "a#b", "#", "a\tb", " a", "a\n"]
+# attribute, a comment, or a missing field.  No automaton holds one, so
+# every automaton can be written.
+UNWRITABLE = ["a b", "a#b", "#", "a\tb", " a", "a\n", ""]
 
 
 @pytest.mark.parametrize(
-    "what, name",
-    [("event", n) for n in UNWRITABLE] + [("state", n) for n in UNWRITABLE + [""]],
+    "what, name", [(what, n) for what in ("event", "state") for n in UNWRITABLE]
 )
-def test_names_that_would_not_parse_back_are_refused(tmp_path, what, name):
+def test_names_that_would_not_parse_back_are_refused(what, name):
+    message = "^" + re.escape(f"{what} name {name!r} is not one file token")
     if what == "event":
-        a = make_automaton(("ok", name), ("s",), (("s", name, "s"),), ("s",))
+        with pytest.raises(ValidationError, match=message):
+            Alphabet(("ok", name))
+        with pytest.raises(ValidationError, match=message):
+            make_automaton(("ok", name), ("s",), (("s", name, "s"),), ("s",))
     else:
-        a = make_automaton(("e",), ("s", name), (("s", "e", name),), ("s",))
-    message = "^" + re.escape(f"{what} name {name!r} ")
-    with pytest.raises(ValidationError, match=message):
-        serialize_automaton(a)
-    path = tmp_path / "A.aut"
-    with pytest.raises(ValidationError):
-        save_automaton(a, path)
-    assert not path.exists()
+        with pytest.raises(ValidationError, match=message):
+            make_automaton(("e",), ("s", name), (("s", "e", name),), ("s",))
+        with pytest.raises(ValidationError, match=message):
+            Automaton.from_table(Alphabet(("e",)), ("s", name), [[(1,), ()]], ("s",))
 
 
 def test_first_unwritable_name_is_reported():
-    a = make_automaton(("e", "f g"), ("s", "t u"), (), ("s",))
     with pytest.raises(ValidationError, match="^event name 'f g' "):
-        serialize_automaton(a)
+        make_automaton(("e", "f g", "h i"), ("s", "t u"), (), ("s",))
+    with pytest.raises(ValidationError, match="^state name 't u' "):
+        make_automaton(("e",), ("s", "t u", "v w"), (), ("s",))
+    # The state names are checked after the structural invariants.
+    with pytest.raises(DuplicateStateId):
+        make_automaton(("e",), ("t u", "t u"), (), ("t u",))
 
 
 def test_escaped_ids_round_trip(tmp_path):

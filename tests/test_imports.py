@@ -1,6 +1,8 @@
 """Every name a ``ccsynth`` module imports is used there, every
-parameter of a ``ccsynth`` function is read by it, and every public
-function of ``ccsynth.testkit`` has a caller outside the tests.
+parameter of a ``ccsynth`` function is read by it, every top-level
+definition of the package is read outside its own definition, and
+every public function of ``ccsynth.testkit`` has a caller outside the
+tests.
 
 The exceptions are the names ``perfbench/tracer.py`` wraps by looking
 them up on that module (its ``WRAPPED`` table), which stay bound even
@@ -12,6 +14,7 @@ benchmark runs.
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,14 +107,74 @@ def test_functions_read_every_parameter():
     assert found == {}
 
 
-def names_used(path: Path) -> set[str]:
-    """Names a source file reads, bare or as an attribute."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def names_read(tree: ast.AST) -> set[str]:
+    """Names a syntax tree reads, bare or as an attribute."""
     return {
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     }
+
+
+def names_used(path: Path) -> set[str]:
+    """Names a source file reads, bare or as an attribute."""
+    return names_read(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def defined_names(stmt: ast.stmt) -> list[str]:
+    """The function, class or constant a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def unread_definitions(package: Path, readers: list[Path]) -> list[str]:
+    """``module.name`` for each top-level function, class or constant of
+    ``package`` that no other top-level statement of the package reads,
+    no file of ``readers`` reads and the package's ``__all__`` does not
+    list.  Dunder names are not checked."""
+    statements = [
+        (path.stem, stmt)
+        for path in sorted(package.glob("*.py"))
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    reads = [names_read(stmt) for _, stmt in statements]
+    # How many top-level statements read each name.
+    readers_of = Counter(name for names in reads for name in names)
+    outside = set().union(*map(names_used, readers))
+    for _, stmt in statements:
+        if defined_names(stmt) == ["__all__"]:
+            outside |= set(ast.literal_eval(stmt.value))
+    return [
+        f"{module}.{name}"
+        for (module, stmt), own in zip(statements, reads)
+        for name in defined_names(stmt)
+        if not name.startswith("__")
+        and name not in outside
+        and readers_of[name] == (name in own)
+    ]
+
+
+def test_unread_definitions_are_flagged(tmp_path):
+    (tmp_path / "__init__.py").write_text('__all__ = ["api"]\n')
+    (tmp_path / "a.py").write_text(
+        "CAP = 1\nLIMIT = 2\n"
+        "def api(cap=CAP):\n    return api\n"
+        "def _dead():\n    return _dead\n"
+        "class Used:\n    pass\n"
+    )
+    reader = tmp_path / "reader.txt"
+    reader.write_text("from a import Used\nUsed()\n")
+    assert unread_definitions(tmp_path, [reader]) == ["a.LIMIT", "a._dead"]
+
+
+def test_every_definition_is_read():
+    readers = sorted((ROOT / "perfbench").glob("*.py"))
+    assert unread_definitions(PACKAGE, readers) == []
 
 
 def test_testkit_ships_only_what_the_cli_or_the_benchmark_calls():

@@ -19,7 +19,6 @@ from ccsynth import (
     is_admissible,
     is_controllability_family,
     is_solvable,
-    is_state_controllable,
     is_uniform,
     language_included,
     sync_product,
@@ -32,7 +31,7 @@ from ccsynth.testkit import InstanceSpec, enumerate_subsupervisors, random_insta
 
 from helpers import projection_consistent, random_alphabet, random_automaton
 from instances import DIAMOND_FAMILY, diamond_g, diamond_r, scanner_g, scanner_r
-from oracles import f_step
+from oracles import f_step, trace_controllable
 
 ALL_KINDS = ("sim", "ccsim", "bisim", "ucsim", "ucrsim")
 
@@ -130,7 +129,7 @@ def test_ccsim_equals_bisim_with_all_required_single_initial():
 def test_admissibility_equals_state_controllability():
     for g, s in spec_stream(60, 9600):
         adm, _ = is_admissible(s, g)
-        assert adm == is_state_controllable(s, g)
+        assert adm == trace_controllable(s, g)
 
 
 def test_family_fixpoint_properties():

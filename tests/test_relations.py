@@ -5,7 +5,6 @@ import pytest
 
 from ccsynth import (
     AlphabetMismatch,
-    CapExceeded,
     InstanceSpec,
     PairRelation,
     RelationKind,
@@ -16,7 +15,6 @@ from ccsynth import (
     initial_condition,
     is_admissible,
     is_deterministic,
-    is_state_controllable,
     is_uniform,
     make_automaton,
     pairs_universe,
@@ -39,7 +37,7 @@ from instances import (
     scanner_r,
     scanner_s,
 )
-from oracles import match_predicate, named_is_uniform
+from oracles import match_predicate, named_is_uniform, trace_controllable
 
 # Frozen by the exhaustive-enumeration oracle (see test_properties for the
 # live comparison): the greatest relation with uncontrollable-forward and
@@ -261,7 +259,7 @@ def test_supervisor_refusing_scan_not_admissible():
 
 def test_state_controllability_matches_admissibility_on_scanner():
     g = scanner_g()
-    assert is_state_controllable(scanner_s(), g)
+    assert trace_controllable(scanner_s(), g) and is_admissible(scanner_s(), g)[0]
     bad = make_automaton(
         SCANNER_EVENTS,
         ("y0", "y1"),
@@ -270,7 +268,7 @@ def test_state_controllability_matches_admissibility_on_scanner():
         uncontrollable=SCANNER_UNCONTROLLABLE,
         required=("cancel",),
     )
-    assert not is_state_controllable(bad, g)
+    assert not trace_controllable(bad, g) and not is_admissible(bad, g)[0]
 
 
 def test_state_controllability_universal_supervisor():
@@ -282,13 +280,8 @@ def test_state_controllability_universal_supervisor():
         uncontrollable=SCANNER_UNCONTROLLABLE,
         required=("cancel",),
     )
-    assert is_state_controllable(uni, scanner_g())
-
-
-def test_state_controllability_cap():
-    g = scanner_g()
-    with pytest.raises(CapExceeded):
-        is_state_controllable(scanner_s(), g, cap=2)
+    assert trace_controllable(uni, scanner_g())
+    assert is_admissible(uni, scanner_g()) == (True, None)
 
 
 # --- uniformity ------------------------------------------------------------

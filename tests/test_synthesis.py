@@ -1,6 +1,7 @@
 import pytest
 
 from ccsynth import (
+    AlphabetMismatch,
     CapExceeded,
     InstanceSpec,
     NotAFamily,
@@ -468,6 +469,27 @@ def test_bisimilarity_fails_on_uncoverable_initial():
     assert not bisimilarity_solvable(g, r)
 
 
+def loops(events, **attrs):
+    """One state with a self-loop under each event."""
+    edges = [("q", e, "q") for e in events]
+    return make_automaton(events, ("q",), edges, ("q",), **attrs)
+
+
+def test_bisimilarity_refuses_mismatched_attributes():
+    # ``a`` is uncontrollable in the plant but controllable in the
+    # specification: no verdict, as from ``is_solvable``.
+    g, r = loops(("a", "b"), uncontrollable=("a",)), loops(("a", "b"))
+    with pytest.raises(AlphabetMismatch):
+        is_solvable(g, r)
+    with pytest.raises(AlphabetMismatch):
+        bisimilarity_solvable(g, r)
+
+
+def test_bisimilarity_refuses_other_event_names():
+    with pytest.raises(AlphabetMismatch):
+        bisimilarity_solvable(loops(("a", "b")), loops(("a", "c")))
+
+
 # --- state ids holding separators ------------------------------------------
 
 
@@ -497,5 +519,5 @@ def test_colliding_product_ids_are_escaped():
     assert is_admissible(s, g) == named_is_admissible(s, g) == (True, None)
     assert verify_solution(s, g, g).overall
     # Without a collision, product ids stay unescaped.
-    diamond = sync_product(diamond_g(), diamond_g(), full=True)
+    diamond = sync_product(diamond_g(), diamond_g())
     assert all(name == f"({p.left},{p.right})" for name, p in diamond.pair_of.items())

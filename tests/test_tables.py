@@ -229,12 +229,11 @@ def built_every_way():
             yield f"random_instance {spec.deterministic} {i}", aut
     yield "parse_automaton", parse_automaton(serialize_automaton(g))
     yield "reachable_part", reachable_part(full.automaton)
-    product = sync_product(sup.automaton, g, full=True)
+    product = sync_product(sup.automaton, g)
     yield "reachable_part of a product", reachable_part(product)
     for i, mutant in enumerate(enumerate_subsupervisors(sup, 3)):
         yield f"enumerate_subsupervisors {i}", mutant
-    yield "sync_product", sync_product(sup.automaton, g)
-    yield "sync_product full", sync_product(sup.automaton, g, full=True)
+    yield "sync_product", product
     yield "assembly", sup.automaton
     yield "assembly full", full.automaton
     yield "synthesize", synthesize(g, r).supervisor.automaton
@@ -250,7 +249,7 @@ def test_every_automaton_stores_its_successor_table():
             aut.alphabet.events,
         ), how
         ways += 1
-    assert ways == 20
+    assert ways == 19
 
 
 def test_subsupervisors_match_the_named_enumeration():
