@@ -12,10 +12,7 @@ from .automata import (
     Automaton,
     ProductState,
     is_deterministic,
-    language_included,
     make_automaton,
-    reach,
-    reachable_part,
     sync_product,
     validate_automaton,
 )
@@ -113,14 +110,11 @@ __all__ = [
     "is_deterministic",
     "is_solvable",
     "is_uniform",
-    "language_included",
     "load_automaton",
     "make_automaton",
     "pairs_universe",
     "parse_automaton",
     "random_instance",
-    "reach",
-    "reachable_part",
     "save_automaton",
     "serialize_automaton",
     "sync_product",

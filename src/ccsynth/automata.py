@@ -1,4 +1,4 @@
-"""Core automaton model: alphabets, synchronous products, reachability.
+"""Core automaton model: alphabets, successor tables, synchronous products.
 
 All values are immutable after construction; every operation is a pure
 function returning fresh values, so instances are safe to share freely.
@@ -228,10 +228,37 @@ class Automaton:
     def n_states(self) -> int:
         return len(self.states)
 
+    def event_table(self, what: str, k: int) -> list:
+        """Per-state table ``what`` of event index ``k``, built on first use
+        and kept: successors as a bit mask (``"succ_masks"``), or
+        predecessors as a bit mask (``"pred_masks"``) or an ascending
+        index list (``"preds"``).  Callers must not change it."""
+        tables = self.__dict__.setdefault("_event_tables", {})
+        if (what, k) not in tables:
+            tables[what, k] = build_event_table(what, self.successor_table[k])
+        return tables[what, k]
+
 
 def successor_entry(targets: list[int]) -> tuple[int, ...]:
     """A successor-table entry: ``targets`` ascending, without repeats."""
     return tuple(sorted(set(targets))) if len(targets) > 1 else tuple(targets)
+
+
+def build_event_table(what: str, row: Sequence[tuple[int, ...]]) -> list:
+    """``Automaton.event_table`` of one successor-table row."""
+    if what == "succ_masks":
+        return [sum(1 << j for j in targets) for targets in row]
+    if what == "pred_masks":
+        masks = [0] * len(row)
+        for i, targets in enumerate(row):
+            for j in targets:
+                masks[j] |= 1 << i
+        return masks
+    preds: list[list[int]] = [[] for _ in row]
+    for i, targets in enumerate(row):
+        for j in targets:
+            preds[j].append(i)
+    return preds
 
 
 def _named_table(a: Automaton, transitions: Iterable) -> list:
@@ -382,76 +409,11 @@ def sync_product(s: Automaton, g: Automaton) -> Automaton:
     )
 
 
-def reach(a: Automaton, sequence: Sequence[str]) -> frozenset[str]:
-    """States reachable from some initial state via exactly ``sequence``."""
-    for ev in sequence:
-        if ev not in a.alphabet._event_index:
-            raise UnknownEvent(f"event {ev!r} not in alphabet")
-    current = frozenset(a.initial)
-    for ev in sequence:
-        current = frozenset(t for s in current for t in a.successors(s, ev))
-    return current
-
-
-def reachable_part(a: Automaton) -> Automaton:
-    """Restriction of ``a`` to states reachable from its initial set."""
-    table = a.successor_table
-    seen = [False] * a.n_states
-    stack = [a.state_index[s] for s in a.initial]
-    for i in stack:
-        seen[i] = True
-    while stack:
-        i = stack.pop()
-        for row in table:
-            for j in row[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-    keep = [i for i, s in enumerate(seen) if s]
-    # Renumbering in declaration order keeps every entry ascending.
-    new = {i: n for n, i in enumerate(keep)}
-    states = [a.states[i] for i in keep]
-    kept = set(states)
-    return Automaton.from_table(
-        a.alphabet,
-        states,
-        [[tuple(map(new.__getitem__, row[i])) for i in keep] for row in table],
-        a.initial,
-        pair_of=None
-        if a.pair_of is None
-        else {s: p for s, p in a.pair_of.items() if s in kept},
-    )
-
-
 def is_deterministic(a: Automaton) -> bool:
     """One initial state and at most one successor per (state, event)."""
     if len(a.initial) != 1:
         return False
     return all(len(targets) <= 1 for row in a.successor_table for targets in row)
-
-
-def language_included(a: Automaton, b: Automaton) -> bool:
-    """Is every trace of ``a`` one of ``b``?
-
-    Explores pairs (state of a, subset of b's states) reached by common
-    strings; a pair whose subset side goes empty witnesses a trace of
-    ``a`` that ``b`` cannot follow.
-    """
-    require_same_alphabet(a, b)
-    b0 = frozenset(b.initial)
-    stack = [(x, b0) for x in a.initial]
-    seen = set(stack)
-    while stack:
-        x, bs = stack.pop()
-        for ev in a.alphabet.events:
-            for x1 in a.successors(x, ev):
-                bs1 = frozenset(t for z in bs for t in b.successors(z, ev))
-                if not bs1:
-                    return False
-                if (x1, bs1) not in seen:
-                    seen.add((x1, bs1))
-                    stack.append((x1, bs1))
-    return True
 
 
 def make_automaton(

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from pathlib import Path
 
 # perfbench/tracer.py wraps names by getattr on this module, so every
 # name it lists stays bound here, used or not (``build_supervisor``).
@@ -218,10 +219,9 @@ def _cmd_random(args, report: _Report) -> int:
         raise CcsynthError(f"invalid instance parameters: {exc}") from None
     g, r = random_instance(spec)
     g_text, r_text = serialize_automaton(g), serialize_automaton(r)
-    if args.out_g:
-        save_automaton(g, args.out_g)
-    if args.out_r:
-        save_automaton(r, args.out_r)
+    for path, text in ((args.out_g, g_text), (args.out_r, r_text)):
+        if path:
+            Path(path).write_text(text, encoding="utf-8")
     report.result = {"g": g_text, "r": r_text}
     if not (args.out_g or args.out_r):
         report.lines.append("# plant")

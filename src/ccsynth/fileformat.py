@@ -171,7 +171,8 @@ def export_dot(a: Automaton) -> str:
 
 
 def load_automaton(path: str | Path) -> Automaton:
-    return parse_automaton(Path(path).read_text(encoding="utf-8"))
+    """Parse the file at ``path``; a UTF-8 byte-order mark is skipped."""
+    return parse_automaton(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def save_automaton(a: Automaton, path: str | Path) -> None:

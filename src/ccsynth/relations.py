@@ -324,7 +324,9 @@ def refine(a: Automaton, b: Automaton, kind: RelationKind) -> RefineResult:
     right states, whose bits are then checked in ascending order.  Pairs
     are checked, deleted and re-queued in the same order as a
     pair-by-pair scan, so deletion times, clauses and counterexamples do
-    not depend on the representation.
+    not depend on the representation.  The masks and predecessor lists
+    are the automata's own ``event_table``s, so repeated checks against
+    one automaton build them once.
     """
     require_same_alphabet(a, b)
     events = a.alphabet.events
@@ -336,28 +338,19 @@ def refine(a: Automaton, b: Automaton, kind: RelationKind) -> RefineResult:
     bwd = [k for k, ev in enumerate(events) if ev in kind.backward_events]
     deps = sorted(set(fwd) | set(bwd))
 
-    succ_a, succ_b = a.successor_table, b.successor_table
-    succ_mask_b = [[sum(1 << z for z in zs) for zs in row] for row in succ_b]
-    # Predecessors under the events a deletion can matter for: ascending
-    # left indices, and right-state masks.
-    pred_a = {k: [[] for _ in range(na)] for k in deps}
-    pred_mask_b = {k: [0] * nb for k in deps}
-    for k in deps:
-        for xi, xs in enumerate(succ_a[k]):
-            for x1 in xs:
-                pred_a[k][x1].append(xi)
-        for zi, zs in enumerate(succ_b[k]):
-            for z1 in zs:
-                pred_mask_b[k][z1] |= 1 << zi
-
+    succ_a = a.successor_table
     rows = [(1 << nb) - 1] * na
     queued = [0] * na
     log: list[tuple[int, str, int, int]] = []
     queue: deque[tuple[int, int]] = deque()
     push = queue.append
-    fwd_tables = [(k, succ_a[k], succ_mask_b[k]) for k in fwd]
-    bwd_tables = [(k, succ_a[k], succ_mask_b[k]) for k in bwd]
-    pred_tables = [(pred_a[k], pred_mask_b[k]) for k in deps]
+    fwd_tables = [(k, succ_a[k], b.event_table("succ_masks", k)) for k in fwd]
+    bwd_tables = [(k, succ_a[k], b.event_table("succ_masks", k)) for k in bwd]
+    # Predecessors under the events a deletion can matter for: ascending
+    # left indices, and right-state masks.
+    pred_tables = [
+        (a.event_table("preds", k), b.event_table("pred_masks", k)) for k in deps
+    ]
 
     def check(xi: int, zi: int):
         for k, sa, smb in fwd_tables:
@@ -464,11 +457,11 @@ def clauses_hold(rel: PairRelation, kind: RelationKind) -> bool:
     require_same_alphabet(a, b)
     live = [(xi, row) for xi, row in enumerate(rows) if row]
     distinct = set(rows)
-    for ev, sa, sb in zip(a.alphabet.events, a.successor_table, b.successor_table):
+    for k, (ev, sa) in enumerate(zip(a.alphabet.events, a.successor_table)):
         forward, backward = ev in kind.forward_events, ev in kind.backward_events
         if not (forward or backward):
             continue
-        smb = [sum(1 << z1 for z1 in zs) for zs in sb]
+        smb = b.event_table("succ_masks", k)
         if forward:
             moving = [(1 << zi, m) for zi, m in enumerate(smb) if m]
             good_of = {v: sum(bit for bit, m in moving if m & v) for v in distinct}
@@ -630,6 +623,7 @@ def is_uniform(phi: PairRelation, g: Automaton, r: Automaton) -> bool:
     (ng, gg, gg_table), (nr, rr, rr_table) = squares
     rows, gs, rs = phi.rows, g.successor_table, r.successor_table
     req = [k for k, ev in enumerate(g.alphabet.events) if ev in g.alphabet.required]
+    covers = {k: r.event_table("succ_masks", k) for k in req}
     n_rr, r_roots = len(rr), len(r.initial) ** 2
     roots = [i * n_rr + j for i in range(len(g.initial) ** 2) for j in range(r_roots)]
     for code in product_walk(gg_table, rr_table, n_rr, roots):
@@ -638,8 +632,8 @@ def is_uniform(phi: PairRelation, g: Automaton, r: Automaton) -> bool:
             continue
         for k in req:
             if rs[k][z1]:
-                covers = sum(1 << z for z in rs[k][z2])
-                if not all(rows[x] & covers for x in gs[k][x2]):
+                mask = covers[k][z2]
+                if not all(rows[x] & mask for x in gs[k][x2]):
                     return False
     return True
 

@@ -9,9 +9,11 @@ obligation masks by named successor lookups, the filtering step and
 the family check member by member, the antichain pass scanning pairs
 before events, supervisors by assembly over the materialized closure,
 supervisor variants by filtering named transitions, language inclusion
-up to a bound, admissibility at trace level by a subset construction,
-small supervisors by enumeration, and automaton isomorphism by
-backtracking.  None of them ships with the package.
+by a subset construction, up to a bound or exhaustively, admissibility
+at trace level by a subset construction, the states one string reaches
+and the reachable part of an automaton, small supervisors by
+enumeration, and automaton isomorphism by backtracking.  None of them
+ships with the package.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -29,7 +32,13 @@ from ccsynth.automata import (
     product_state_id,
     require_same_alphabet,
 )
-from ccsynth.errors import CapExceeded, NotAFamily, ParseError, UniverseMismatch
+from ccsynth.errors import (
+    CapExceeded,
+    NotAFamily,
+    ParseError,
+    UniverseMismatch,
+    UnknownEvent,
+)
 from ccsynth.relations import (
     ADMISSIBILITY,
     BACKWARD,
@@ -746,18 +755,22 @@ def closure_supervisor(
     )
 
 
-def bounded_language_included(a: Automaton, b: Automaton, bound: int) -> bool:
+def bounded_language_included(a: Automaton, b: Automaton, bound: int | None) -> bool:
     """Is every trace of ``a`` of length at most ``bound`` one of ``b``?
 
     Explores pairs (state of a, subset of b's states) level by level,
-    for ``bound`` levels or until no new pair is reached; the oracle for
-    the level semantics of ``language_included``'s exploration.
+    for ``bound`` levels or until no new pair is reached.  With ``bound``
+    None it explores until no new pair is reached, which decides
+    language inclusion exactly: a pair whose subset side goes empty
+    witnesses a trace of ``a`` that ``b`` cannot follow.
     """
     require_same_alphabet(a, b)
     b0 = frozenset(b.initial)
     frontier = [(x, b0) for x in a.initial]
     seen = set(frontier)
-    for _ in range(bound):
+    for _ in itertools.count() if bound is None else range(bound):
+        if not frontier:
+            break
         nxt = []
         for x, bs in frontier:
             for ev in a.alphabet.events:
@@ -770,6 +783,47 @@ def bounded_language_included(a: Automaton, b: Automaton, bound: int) -> bool:
                         nxt.append((x1, bs1))
         frontier = nxt
     return True
+
+
+def reach(a: Automaton, sequence: Sequence[str]) -> frozenset[str]:
+    """States reachable from some initial state via exactly ``sequence``."""
+    for ev in sequence:
+        if ev not in a.alphabet._event_index:
+            raise UnknownEvent(f"event {ev!r} not in alphabet")
+    current = frozenset(a.initial)
+    for ev in sequence:
+        current = frozenset(t for s in current for t in a.successors(s, ev))
+    return current
+
+
+def reachable_part(a: Automaton) -> Automaton:
+    """Restriction of ``a`` to states reachable from its initial set."""
+    table = a.successor_table
+    seen = [False] * a.n_states
+    stack = [a.state_index[s] for s in a.initial]
+    for i in stack:
+        seen[i] = True
+    while stack:
+        i = stack.pop()
+        for row in table:
+            for j in row[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+    keep = [i for i, s in enumerate(seen) if s]
+    # Renumbering in declaration order keeps every entry ascending.
+    new = {i: n for n, i in enumerate(keep)}
+    states = [a.states[i] for i in keep]
+    kept = set(states)
+    return Automaton.from_table(
+        a.alphabet,
+        states,
+        [[tuple(map(new.__getitem__, row[i])) for i in keep] for row in table],
+        a.initial,
+        pair_of=None
+        if a.pair_of is None
+        else {s: p for s, p in a.pair_of.items() if s in kept},
+    )
 
 
 def small_automata(alphabet: Alphabet, n: int):

@@ -225,6 +225,11 @@ def test_random_reproducible(tmp_path, capsys):
     g = load_automaton(g_path)
     r = load_automaton(r_path)
     assert g.alphabet == r.alphabet
+    capsys.readouterr()
+    assert run_command(argv + ["--json"]) == 0
+    texts = json.loads(capsys.readouterr().out)["result"]
+    with open(g_path, "rb") as fg, open(r_path, "rb") as fr:
+        assert (fg.read(), fr.read()) == (texts["g"].encode(), texts["r"].encode())
 
 
 def test_random_output_parses_and_feeds_solvable(tmp_path):

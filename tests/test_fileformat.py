@@ -150,6 +150,16 @@ def test_escaped_ids_round_trip(tmp_path):
         assert load_automaton(tmp_path / "A.aut") == a
 
 
+def test_byte_order_mark_is_skipped_on_load_and_never_written(tmp_path):
+    g = scanner_g()
+    text = serialize_automaton(g)
+    marked = tmp_path / "marked.aut"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load_automaton(marked) == g
+    save_automaton(load_automaton(marked), tmp_path / "saved.aut")
+    assert (tmp_path / "saved.aut").read_bytes() == text.encode()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.booleans())
 def test_roundtrip_on_generated_instances(seed, deterministic):

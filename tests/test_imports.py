@@ -2,14 +2,16 @@
 parameter of a ``ccsynth`` function is read by it, every top-level
 definition of the package is read outside its own definition, and
 every public function of ``ccsynth.testkit`` has a caller outside the
-tests.
+tests, and every public function of ``ccsynth.automata`` but the
+one-call constructor ``make_automaton`` has a caller in the package or
+the benchmark.
 
 The exceptions are the names ``perfbench/tracer.py`` wraps by looking
 them up on that module (its ``WRAPPED`` table), which stay bound even
 where the module itself no longer calls them.  ``__init__.py`` imports
 to re-export and is not checked.  Test oracles live in
 ``tests/oracles.py``; ``testkit`` ships only what the CLI or the
-benchmark runs.
+benchmark runs, and ``automata`` no walk that only tests call.
 """
 
 import ast
@@ -188,3 +190,39 @@ def test_testkit_ships_only_what_the_cli_or_the_benchmark_calls():
     used = set().union(*map(names_used, callers))
     assert {"random_instance", "enumerate_subsupervisors"} <= public
     assert public - used == set()
+
+
+def uncalled_functions(path: Path, callers: list[Path]) -> set[str]:
+    """Public top-level functions of ``path`` that no other top-level
+    statement of ``path`` and no file of ``callers`` reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = set().union(*map(names_used, callers))
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in used
+        and not any(node.name in names_read(s) for s in tree.body if s is not node)
+    }
+
+
+def test_uncalled_functions_are_flagged(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def api():\n    return helper()\n"
+        "def helper():\n    return 1\n"
+        "def dead():\n    return dead\n"
+        "def _private():\n    pass\n"
+    )
+    reader = tmp_path / "reader.txt"
+    reader.write_text("from m import api\napi()\n")
+    assert uncalled_functions(tmp_path / "m.py", [reader]) == {"dead"}
+
+
+def test_automata_ships_only_what_the_package_or_the_benchmark_calls():
+    # ``make_automaton`` is the one-call constructor for library users.
+    others = ("__init__.py", "automata.py")
+    callers = [p for p in sorted(PACKAGE.glob("*.py")) if p.name not in others]
+    callers += sorted((ROOT / "perfbench").glob("*.py"))
+    uncalled = uncalled_functions(PACKAGE / "automata.py", callers)
+    assert uncalled - {"make_automaton"} == set()

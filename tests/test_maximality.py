@@ -23,7 +23,7 @@ from oracles import small_automata, small_solutions
 from test_tables import c08_sweep
 
 # Two-state automata sampled per draw, out of 768 over two events.
-SAMPLE = 8
+SAMPLE = 32
 
 
 def escaping(solutions, s: Automaton, g: Automaton) -> list[Automaton]:
@@ -83,4 +83,4 @@ def test_no_small_solution_escapes_the_synthesized_supervisor():
     # The trimmed mutant is caught on each of the five draws where some
     # automaton of at most two states, sampled or not, escapes it.
     assert caught["trimmed"] == [35, 42, 45, 50, 56]
-    assert caught["pruned"] == [1, 11, 21, 46, 50, 56]
+    assert caught["pruned"] == [1, 11, 21, 22, 46, 50, 56]

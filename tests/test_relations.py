@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -21,7 +22,7 @@ from ccsynth import (
     random_instance,
     sync_product,
 )
-from ccsynth import relations
+from ccsynth import automata, relations
 from ccsynth.relations import clause_violations, inverse_initial_condition
 
 from instances import (
@@ -332,6 +333,33 @@ def test_uniform_on_state_names_with_commas():
     diagonal = rel(g, g, [(x, x) for x in g.states])
     for phi, verdict in ((pairs_universe(g, g), False), (diagonal, True)):
         assert is_uniform(phi, g, g) is named_is_uniform(phi, g, g) is verdict
+
+
+def test_repeated_refines_build_each_table_once(monkeypatch):
+    built = Counter()
+    build = automata.build_event_table
+
+    def counting(what, row):
+        built[what] += 1
+        return build(what, row)
+
+    monkeypatch.setattr(automata, "build_event_table", counting)
+    g = scanner_g()
+    sg = sync_product(scanner_s(), g)
+    kind = RelationKind.simulation(g.alphabet)
+    n_events = len(g.alphabet.events)
+    first = relations.refine(sg, sg, kind)
+    assert built == {"succ_masks": n_events, "pred_masks": n_events, "preds": n_events}
+    built.clear()
+    # A new left automaton against the same right one: only its own
+    # predecessor lists are built, and the same relation comes out.
+    twin = dataclasses.replace(sg, pair_of=None)
+    assert relations.refine(twin, sg, kind).alive.rows == first.alive.rows
+    assert built == {"preds": n_events}
+    built.clear()
+    assert relations.refine(twin, sg, kind).alive.rows == first.alive.rows
+    assert holds(twin, sg, kind)[0]
+    assert built == {}
 
 
 def test_uniform_on_an_empty_relation_walks_nothing(monkeypatch):

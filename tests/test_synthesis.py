@@ -49,7 +49,7 @@ from instances import (
     separator_instance,
     separator_product,
 )
-from oracles import f_step, isomorphic, named_is_admissible
+from oracles import f_step, isomorphic, named_is_admissible, reachable_part
 
 LADDER_UNIVERSE = (
     ("x0", "z0"),
@@ -288,8 +288,6 @@ def test_diamond_supervised_system_matches_expected_product():
 
 
 def test_full_supervisor_keeps_unreachable_members():
-    from ccsynth import reachable_part
-
     g, r = diamond_g(), diamond_r()
     e = PairSetFamily.over(g, r, DIAMOND_FAMILY)
     sup = build_supervisor(e, g, r, reachable_only=False)

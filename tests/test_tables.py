@@ -31,7 +31,6 @@ from ccsynth import (
     make_automaton,
     parse_automaton,
     random_instance,
-    reachable_part,
     save_automaton,
     serialize_automaton,
     sync_product,
@@ -46,7 +45,7 @@ from ccsynth.synthesis import _assemble_supervisor, _hitting_sets, family_fixpoi
 
 from helpers import random_alphabet, random_automaton
 from instances import diamond_g, diamond_r, scanner_g, scanner_r, scanner_s
-from oracles import named_is_admissible, named_subsupervisors
+from oracles import named_is_admissible, named_subsupervisors, reachable_part
 
 # Two near-limit draws of the benchmark's ``synth`` pool (s016, s045).
 S016 = InstanceSpec(4, 5, 3, 0.34, 0.34, 0.31, 767223550)
