@@ -14,6 +14,11 @@ instance:
   supervisor the plain ``synthesize`` wrote (and, for the scanner, on
   its hand-written supervisor, which fails verification).
 
+It also runs ``ccsynth --help`` and ``ccsynth <command> --help`` for
+every subcommand, with ``COLUMNS=80``: argparse wraps help to the
+terminal width.  The help layout is argparse's, so these ids are pinned
+for the CPython minor version that wrote the pin (3.11).
+
 Commands run in one working directory on relative file names.  A
 command's hash covers its exit code, its stdout with the ``millis``
 value blanked and the directory written as ``.``, its stderr and every
@@ -36,6 +41,7 @@ import os
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from ccsynth import InstanceSpec, random_instance, save_automaton
 from ccsynth.cli import run_command
@@ -49,6 +55,10 @@ from test_tables import c08_sweep
 PIN = Path(__file__).resolve().parent / "golden.json"
 
 MILLIS = re.compile(r'"millis": [-+.0-9eE]+')
+
+SUBCOMMANDS = (
+    "check", "admissible", "solvable", "synthesize", "verify", "uniform", "random"
+)
 
 BATCH_SEED = 150_000
 BATCH_SIZE = 40
@@ -131,13 +141,21 @@ def instance_digests(workdir: Path, prefix: str, g, r) -> dict[str, str]:
     return out
 
 
+def help_digests(workdir: Path) -> dict[str, str]:
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        out = {"help/ccsynth": run(workdir, ["--help"])}
+        for command in SUBCOMMANDS:
+            out[f"help/{command}"] = run(workdir, [command, "--help"])
+    return out
+
+
 def golden_digests(workdir: Path) -> dict[str, str]:
     """Every command's digest, by id; runs with ``workdir`` as the
     working directory and restores the old one."""
     old = os.getcwd()
     os.chdir(workdir)
     try:
-        out: dict[str, str] = {}
+        out = help_digests(workdir)
         for prefix, g, r in instances():
             out.update(instance_digests(workdir, prefix, g, r))
         return out
