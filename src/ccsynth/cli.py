@@ -54,15 +54,16 @@ def _cap() -> int:
     return cap
 
 
-def _load_pair(path_a: str, path_b: str) -> tuple[Automaton, Automaton]:
-    a = load_automaton(path_a)
-    b = load_automaton(path_b)
-    if a.alphabet != b.alphabet:
-        raise CcsynthError(
-            f"{path_a} and {path_b} declare different alphabets; "
-            "both files must list the same events with the same attributes"
-        )
-    return a, b
+def _load(*paths: str) -> list[Automaton]:
+    """Every file's automaton; each must declare the first one's alphabet."""
+    automata = [load_automaton(path) for path in paths]
+    for path, a in zip(paths, automata):
+        if a.alphabet != automata[0].alphabet:
+            raise CcsynthError(
+                f"{paths[0]} and {path} declare different alphabets; "
+                "both files must list the same events with the same attributes"
+            )
+    return automata
 
 
 class _Report:
@@ -101,7 +102,7 @@ class _Report:
 
 
 def _cmd_check(args, report: _Report) -> int:
-    a, b = _load_pair(args.a, args.b)
+    a, b = _load(args.a, args.b)
     kind = RelationKind.named(args.kind, a.alphabet)
     ok, witness = holds(a, b, kind)
     report.result = ok
@@ -118,7 +119,7 @@ def _cmd_check(args, report: _Report) -> int:
 
 
 def _cmd_admissible(args, report: _Report) -> int:
-    s, g = _load_pair(args.s, args.g)
+    s, g = _load(args.s, args.g)
     ok, cx = is_admissible(s, g)
     report.result = ok
     report.counterexample = cx
@@ -129,6 +130,7 @@ def _cmd_admissible(args, report: _Report) -> int:
 def _report_fixpoint(report: _Report, fix) -> bool:
     """Record the fixpoint's stats, and the counterexample when unsolvable."""
     report.stats["universe_size"] = fix.ctx.n
+    report.stats["family_size"] = len(fix.antichain)
     report.stats["iterations"] = fix.iterations
     if fix.solvable():
         return True
@@ -137,22 +139,20 @@ def _report_fixpoint(report: _Report, fix) -> bool:
 
 
 def _cmd_solvable(args, report: _Report) -> int:
-    g, r = _load_pair(args.g, args.r)
+    g, r = _load(args.g, args.r)
     fix = family_fixpoint(g, r, _cap())
-    report.stats["family_size"] = len(fix.antichain)
     ok = report.result = _report_fixpoint(report, fix)
     report.lines.append("solvable" if ok else "unsolvable")
     return 0 if ok else 1
 
 
 def _cmd_synthesize(args, report: _Report) -> int:
-    g, r = _load_pair(args.g, args.r)
+    g, r = _load(args.g, args.r)
     out = synthesize(g, r, _cap(), reachable_only=not args.full)
     if not _report_fixpoint(report, out.fixpoint):
         report.result = False
         report.lines.append("unsolvable; no supervisor written")
         return 1
-    report.stats["family_size"] = len(out.fixpoint.antichain)
     sup = out.supervisor.automaton
     save_automaton(sup, args.output)
     if args.dot:
@@ -171,10 +171,7 @@ def _cmd_synthesize(args, report: _Report) -> int:
 
 
 def _cmd_verify(args, report: _Report) -> int:
-    s = load_automaton(args.s)
-    g, r = _load_pair(args.g, args.r)
-    if s.alphabet != g.alphabet:
-        raise CcsynthError("supervisor and plant declare different alphabets")
+    s, g, r = _load(args.s, args.g, args.r)
     check = verify_solution(s, g, r)
     report.result = {
         "admissible": check.admissible,
@@ -191,7 +188,7 @@ def _cmd_verify(args, report: _Report) -> int:
 
 
 def _cmd_uniform(args, report: _Report) -> int:
-    g, r = _load_pair(args.g, args.r)
+    g, r = _load(args.g, args.r)
     rel = pairs_universe(g, r)
     ok = is_uniform(rel, g, r)
     report.result = ok
@@ -245,26 +242,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="machine-readable report")
-
     p = sub.add_parser("check", help="decide a behavioral preorder between two files")
     p.add_argument("--kind", choices=tuple(NAMED_KINDS), required=True)
     p.add_argument("a")
     p.add_argument("b")
-    add_json(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("admissible", help="may the supervisor block the plant?")
     p.add_argument("s")
     p.add_argument("g")
-    add_json(p)
     p.set_defaults(func=_cmd_admissible)
 
     p = sub.add_parser("solvable", help="does any solution exist?")
     p.add_argument("g")
     p.add_argument("r")
-    add_json(p)
     p.set_defaults(func=_cmd_solvable)
 
     p = sub.add_parser("synthesize", help="build the maximally permissive supervisor")
@@ -277,20 +268,17 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="keep unreachable supervisor states instead of the reachable part",
     )
-    add_json(p)
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("verify", help="independently verify a candidate supervisor")
     p.add_argument("s")
     p.add_argument("g")
     p.add_argument("r")
-    add_json(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("uniform", help="test uniformity of the greatest relation")
     p.add_argument("g")
     p.add_argument("r")
-    add_json(p)
     p.set_defaults(func=_cmd_uniform)
 
     p = sub.add_parser("random", help="emit a reproducible random instance")
@@ -304,9 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deterministic", action="store_true")
     p.add_argument("--out-g")
     p.add_argument("--out-r")
-    add_json(p)
     p.set_defaults(func=_cmd_random)
 
+    # Added last, so it stays the last option of every command.
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="machine-readable report")
     return parser
 
 

@@ -34,6 +34,11 @@ def _error(lineno: int, line: str, index: int, message: str) -> ParseError:
     return ParseError(lineno, start + 1, message)
 
 
+# Each declaring directive and its attributes, in written order; an attribute
+# is named after the field that holds its names (``Alphabet``, ``Automaton``).
+DECLARATIONS = {"event": ("uncontrollable", "required"), "state": ("initial",)}
+
+
 def parse_automaton(text: str) -> Automaton:
     """Read one automaton, mapping names to indices as lines are read.
 
@@ -42,15 +47,10 @@ def parse_automaton(text: str) -> Automaton:
     each entry is sorted and its duplicates dropped, as the named
     constructor would.
     """
-    events: list[str] = []
-    uncontrollable: set[str] = set()
-    required: set[str] = set()
-    states: list[str] = []
-    initial: list[str] = []
-    event_index: dict[str, int] = {}
-    state_index: dict[str, int] = {}
-    # table[event][state]: target indices in file order
-    table: list[list[list[int]]] = []
+    index: dict[str, dict[str, int]] = {head: {} for head in DECLARATIONS}
+    marked = {head: {a: [] for a in attrs} for head, attrs in DECLARATIONS.items()}
+    event_index, state_index = index["event"], index["state"]
+    table: list[list[list[int]]] = []  # [event][state]: targets in file order
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         # ``str.split()`` breaks at exactly the characters ``isspace``
@@ -75,51 +75,30 @@ def parse_automaton(text: str) -> Automaton:
             if di is None:
                 raise _error(lineno, raw, 3, f"unknown state {dst!r}")
             table[k][si].append(di)
-        elif head == "event":
-            if len(tokens) < 2:
-                raise _error(lineno, raw, 0, "event directive needs a name")
-            name = tokens[1]
-            if name in event_index:
-                raise _error(lineno, raw, 1, f"event {name!r} declared twice")
-            event_index[name] = len(events)
-            events.append(name)
-            table.append([[] for _ in states])
-            for i in range(2, len(tokens)):
-                attr = tokens[i]
-                if attr == "uncontrollable":
-                    uncontrollable.add(name)
-                elif attr == "required":
-                    required.add(name)
-                else:
-                    raise _error(lineno, raw, i, f"unknown event attribute {attr!r}")
-        elif head == "state":
-            if len(tokens) < 2:
-                raise _error(lineno, raw, 0, "state directive needs a name")
-            name = tokens[1]
-            if name in state_index:
-                raise _error(lineno, raw, 1, f"state {name!r} declared twice")
-            state_index[name] = len(states)
-            states.append(name)
-            for row in table:
-                row.append([])
-            for i in range(2, len(tokens)):
-                attr = tokens[i]
-                if attr == "initial":
-                    initial.append(name)
-                else:
-                    raise _error(lineno, raw, i, f"unknown state attribute {attr!r}")
-        else:
+        elif head not in DECLARATIONS:
             raise _error(lineno, raw, 0, f"unknown directive {head!r}")
+        elif len(tokens) < 2:
+            raise _error(lineno, raw, 0, f"{head} directive needs a name")
+        elif tokens[1] in index[head]:
+            raise _error(lineno, raw, 1, f"{head} {tokens[1]!r} declared twice")
+        else:
+            name, marks = tokens[1], marked[head]
+            index[head][name] = len(index[head])
+            if head == "event":
+                table.append([[] for _ in state_index])
+            else:
+                for row in table:
+                    row.append([])
+            for i, attr in enumerate(tokens[2:], 2):
+                if attr not in marks:
+                    raise _error(lineno, raw, i, f"unknown {head} attribute {attr!r}")
+                marks[attr].append(name)
 
-    last = text.count("\n") + 1
-    if not initial:
-        raise ParseError(last, 1, "no initial state declared")
-    return Automaton.from_table(
-        Alphabet(tuple(events), frozenset(uncontrollable), frozenset(required)),
-        states,
-        [list(map(successor_entry, row)) for row in table],
-        initial,
-    )
+    if not any(marked["state"].values()):
+        raise ParseError(text.count("\n") + 1, 1, "no initial state declared")
+    alphabet = Alphabet(tuple(event_index), **marked["event"])
+    rows = [list(map(successor_entry, row)) for row in table]
+    return Automaton.from_table(alphabet, state_index, rows, **marked["state"])
 
 
 # Lines joined per write in ``save_automaton``: few enough to keep the
@@ -129,16 +108,11 @@ _LINES_PER_WRITE = 1024
 
 def _serialized_lines(a: Automaton):
     """The lines of ``serialize_automaton(a)``, newline included."""
-    for ev in a.alphabet.events:
-        attrs = ""
-        if ev in a.alphabet.uncontrollable:
-            attrs += " uncontrollable"
-        if ev in a.alphabet.required:
-            attrs += " required"
-        yield f"event {ev}{attrs}\n"
-    initial = set(a.initial)
-    for s in a.states:
-        yield f"state {s} initial\n" if s in initial else f"state {s}\n"
+    owners = {"event": (a.alphabet, a.alphabet.events), "state": (a, a.states)}
+    for head, (owner, names) in owners.items():
+        marks = [(f" {attr}", set(getattr(owner, attr))) for attr in DECLARATIONS[head]]
+        for name in names:
+            yield f"{head} {name}{''.join(m for m, has in marks if name in has)}\n"
     # The successor table, walked in the order of ``a.transitions``
     # without building a triple per edge.
     states = a.states
@@ -171,8 +145,19 @@ def export_dot(a: Automaton) -> str:
 
 
 def load_automaton(path: str | Path) -> Automaton:
-    """Parse the file at ``path``; a UTF-8 byte-order mark is skipped."""
-    return parse_automaton(Path(path).read_text(encoding="utf-8-sig"))
+    """Parse the file at ``path``; a UTF-8 byte-order mark is skipped, and
+    the first byte that is not UTF-8 is a ``ParseError``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError:
+        try:  # again, whole: the reader's error counts from its chunk
+            Path(path).read_bytes().decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            lines = (exc.object[: exc.start].decode() + "\0").splitlines()
+            bad = f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}"
+            raise ParseError(len(lines), len(lines[-1]), bad) from None
+        raise
+    return parse_automaton(text)
 
 
 def save_automaton(a: Automaton, path: str | Path) -> None:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Set
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import and_, or_
 
@@ -167,7 +167,8 @@ class Counterexample:
             "right": self.right,
             "event": self.event,
             "successor": self.successor,
-            "chain": [asdict(s) for s in self.chain],
+            # A step's instance dict holds its fields, in order, as strings.
+            "chain": [dict(vars(s)) for s in self.chain],
             "note": self.note,
             "message": self.describe(),
         }

@@ -1,13 +1,15 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from ccsynth import cli, save_automaton
+from ccsynth import cli, save_automaton, serialize_automaton, synthesize
 from ccsynth.cli import run_command
 
 from instances import (
@@ -23,6 +25,7 @@ from instances import (
     separator_instance,
     separator_product,
 )
+from test_pipeline import WORKED
 
 
 @pytest.fixture
@@ -145,6 +148,20 @@ def test_verify_and_admissible_on_colliding_product_ids(tmp_path):
 
 def test_alphabet_mismatch_is_usage_error(files):
     assert run_command(["check", "--kind", "sim", files["G"], files["dG"]]) == 2
+
+
+def test_every_alphabet_mismatch_names_both_files(files, capsys):
+    for argv, first, other in [
+        (["check", "--kind", "sim", files["G"], files["dG"]], "G", "dG"),
+        (["solvable", files["dG"], files["R"]], "dG", "R"),
+        (["verify", files["dG"], files["G"], files["R"]], "dG", "G"),
+        (["verify", files["S"], files["G"], files["dR"]], "S", "dR"),
+    ]:
+        assert run_command(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {files[first]} and {files[other]} declare different alphabets; "
+            "both files must list the same events with the same attributes\n"
+        )
 
 
 def test_parse_error_is_usage_error(tmp_path):
@@ -341,3 +358,81 @@ def test_reader_closing_the_pipe_is_not_an_error(extra):
     assert proc.wait(timeout=60) == 0
     assert err == b""
     assert first == (b"{\n" if extra else b"# plant\n")
+
+
+# --- any input file ---------------------------------------------------------
+
+# Byte strings inserted by the mutations below: invalid UTF-8, a
+# byte-order mark, line breaks only ``splitlines`` knows, a comment sign.
+INSERTS = {
+    "invalid-utf8": (b"\x80", b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xe2\x80"),
+    "byte-order-mark": (b"\xef\xbb\xbf",),
+    "form-feed": (b"\x0c",),
+    "next-line": ("\x85".encode(),),
+    "line-separator": ("\u2028".encode(),),
+    "comment": (b"#",),
+}
+MUTATIONS = tuple(INSERTS) + ("insert-byte", "delete-byte", "stray-line")
+
+
+def mutate(data: bytes, kind: str, rng) -> bytes:
+    at = rng.randrange(len(data) + 1)
+    if kind == "delete-byte":
+        return data[:at] + data[at + 1 :]
+    if kind == "stray-line":
+        names = data.split()
+        line = b" ".join(
+            [rng.choice((b"trans", b"state", b"event"))]
+            + rng.sample(names, rng.randint(0, 4))
+        )
+        lines = data.splitlines(keepends=True)
+        lines.insert(rng.randrange(len(lines) + 1), line + b"\n")
+        return b"".join(lines)
+    if kind == "insert-byte":
+        insert = bytes([rng.randrange(256)])
+    else:
+        insert = rng.choice(INSERTS[kind])
+        if kind == "byte-order-mark" and rng.random() < 0.5:
+            at = 0
+    return data[:at] + insert + data[at:]
+
+
+def test_every_command_survives_any_input_file(tmp_path, monkeypatch, capsys):
+    # Each case mutates one file of a worked example (G, R, or S: the
+    # synthesized supervisor, or G when there is none) and runs every
+    # command that reads files on it.
+    monkeypatch.delenv("CCSYNTH_CAP", raising=False)
+    rng = random.Random(24)
+    texts = []
+    for mk_g, mk_r in WORKED.values():
+        g, r = mk_g(), mk_r()
+        out = synthesize(g, r)
+        s = out.supervisor.automaton if out.solvable else g
+        texts.append({k: serialize_automaton(a).encode() for k, a in zip("GRS", (g, r, s))})
+    paths = {k: tmp_path / f"{k}.aut" for k in "GRS"}
+    out = str(tmp_path / "out.aut")
+    G, R, S = (str(paths[k]) for k in "GRS")
+    commands = [
+        ["check", "--kind", "ccsim", G, R],
+        ["admissible", S, G],
+        ["solvable", G, R],
+        ["synthesize", G, R, "-o", out],
+        ["verify", S, G, R],
+        ["uniform", G, R],
+    ]
+    codes = Counter()
+    for case in range(len(MUTATIONS) * 20):
+        files = dict(rng.choice(texts))
+        target = rng.choice("GRS")
+        for kind in [MUTATIONS[case % len(MUTATIONS)]] + rng.choices(MUTATIONS, k=2):
+            files[target] = mutate(files[target], kind, rng)
+        for k, data in files.items():
+            paths[k].write_bytes(data)
+        for argv in commands:
+            code = run_command(argv + ["--json"] * rng.randint(0, 1))
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (argv, files[target])
+            if code == 2:
+                assert err.startswith("error: "), (argv, files[target], err)
+            codes[code] += 1
+    assert min(codes.values()) > 50

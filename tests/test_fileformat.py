@@ -160,6 +160,28 @@ def test_byte_order_mark_is_skipped_on_load_and_never_written(tmp_path):
     assert (tmp_path / "saved.aut").read_bytes() == text.encode()
 
 
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        (b"event a\nstate s \xff initial\n", (2, 9, 0xFF)),
+        (b"\xef\xbb\xbfevent a\r\nstate \xc3", (2, 7, 0xC3)),
+        (b"event a\rstate s initial\r\x80", (3, 1, 0x80)),
+        ("event \u00e9\u2028\x85state s\x0c".encode() + b"\xed\xa0\x80", (4, 1, 0xED)),
+        # Past the text reader's first chunk, whose error counts from the
+        # chunk rather than from the file.
+        (b"# pad\n" * 3000 + b"event a \xfe\n", (3001, 9, 0xFE)),
+    ],
+)
+def test_undecodable_byte_is_a_parse_error_at_its_place(tmp_path, data, where):
+    path = tmp_path / "bad.aut"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        load_automaton(path)
+    line, col, byte = where
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert exc.value.message == f"invalid UTF-8 byte 0x{byte:02x}"
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.booleans())
 def test_roundtrip_on_generated_instances(seed, deterministic):
