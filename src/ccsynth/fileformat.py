@@ -82,17 +82,17 @@ def parse_automaton(text: str) -> Automaton:
         elif tokens[1] in index[head]:
             raise _error(lineno, raw, 1, f"{head} {tokens[1]!r} declared twice")
         else:
-            name, marks = tokens[1], marked[head]
-            index[head][name] = len(index[head])
-            if head == "event":
+            name, declared = tokens[1], index[head]
+            declared[name] = len(declared)
+            if declared is event_index:
                 table.append([[] for _ in state_index])
             else:
                 for row in table:
                     row.append([])
             for i, attr in enumerate(tokens[2:], 2):
-                if attr not in marks:
+                if attr not in marked[head]:
                     raise _error(lineno, raw, i, f"unknown {head} attribute {attr!r}")
-                marks[attr].append(name)
+                marked[head][attr].append(name)
 
     if not any(marked["state"].values()):
         raise ParseError(text.count("\n") + 1, 1, "no initial state declared")
