@@ -48,7 +48,7 @@ def parse_automaton(text: str) -> Automaton:
     constructor would.
     """
     index: dict[str, dict[str, int]] = {head: {} for head in DECLARATIONS}
-    marked = {head: {a: [] for a in attrs} for head, attrs in DECLARATIONS.items()}
+    marked: dict[str, dict[str, list[str]]] = {head: {} for head in DECLARATIONS}
     event_index, state_index = index["event"], index["state"]
     table: list[list[list[int]]] = []  # [event][state]: targets in file order
 
@@ -75,26 +75,27 @@ def parse_automaton(text: str) -> Automaton:
             if di is None:
                 raise _error(lineno, raw, 3, f"unknown state {dst!r}")
             table[k][si].append(di)
-        elif head not in DECLARATIONS:
+            continue
+        declared = index.get(head)
+        if declared is None:
             raise _error(lineno, raw, 0, f"unknown directive {head!r}")
-        elif len(tokens) < 2:
+        if len(tokens) < 2:
             raise _error(lineno, raw, 0, f"{head} directive needs a name")
-        elif tokens[1] in index[head]:
-            raise _error(lineno, raw, 1, f"{head} {tokens[1]!r} declared twice")
+        name = tokens[1]
+        if name in declared:
+            raise _error(lineno, raw, 1, f"{head} {name!r} declared twice")
+        declared[name] = len(declared)
+        if declared is event_index:
+            table.append([[] for _ in state_index])
         else:
-            name, declared = tokens[1], index[head]
-            declared[name] = len(declared)
-            if declared is event_index:
-                table.append([[] for _ in state_index])
-            else:
-                for row in table:
-                    row.append([])
-            for i, attr in enumerate(tokens[2:], 2):
-                if attr not in marked[head]:
-                    raise _error(lineno, raw, i, f"unknown {head} attribute {attr!r}")
-                marked[head][attr].append(name)
+            for row in table:
+                row.append([])
+        for i in range(2, len(tokens)):
+            if tokens[i] not in DECLARATIONS[head]:
+                raise _error(lineno, raw, i, f"unknown {head} attribute {tokens[i]!r}")
+            marked[head].setdefault(tokens[i], []).append(name)
 
-    if not any(marked["state"].values()):
+    if not marked["state"]:
         raise ParseError(text.count("\n") + 1, 1, "no initial state declared")
     alphabet = Alphabet(tuple(event_index), **marked["event"])
     rows = [list(map(successor_entry, row)) for row in table]
@@ -145,12 +146,11 @@ def export_dot(a: Automaton) -> str:
 
 
 def load_automaton(path: str | Path) -> Automaton:
-    """Parse the file at ``path``; a UTF-8 byte-order mark is skipped, and
-    the first byte that is not UTF-8 is a ``ParseError``."""
+    """Parse the UTF-8 file at ``path``, skipping a byte-order mark."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
-        try:  # again, whole: the reader's error counts from its chunk
+        try:  # again, whole: the text reader's error counts from its chunk
             Path(path).read_bytes().decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             lines = (exc.object[: exc.start].decode() + "\0").splitlines()

@@ -406,8 +406,8 @@ def test_every_command_survives_any_input_file(tmp_path, monkeypatch, capsys):
     texts = []
     for mk_g, mk_r in WORKED.values():
         g, r = mk_g(), mk_r()
-        out = synthesize(g, r)
-        s = out.supervisor.automaton if out.solvable else g
+        outcome = synthesize(g, r)
+        s = outcome.supervisor.automaton if outcome.solvable else g
         texts.append({k: serialize_automaton(a).encode() for k, a in zip("GRS", (g, r, s))})
     paths = {k: tmp_path / f"{k}.aut" for k in "GRS"}
     out = str(tmp_path / "out.aut")
@@ -435,4 +435,4 @@ def test_every_command_survives_any_input_file(tmp_path, monkeypatch, capsys):
             if code == 2:
                 assert err.startswith("error: "), (argv, files[target], err)
             codes[code] += 1
-    assert min(codes.values()) > 50
+    assert all(codes[code] > 50 for code in (0, 1, 2)), codes
