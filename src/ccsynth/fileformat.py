@@ -113,7 +113,7 @@ def _serialized_lines(a: Automaton):
     for head, (owner, names) in owners.items():
         marks = [(f" {attr}", set(getattr(owner, attr))) for attr in DECLARATIONS[head]]
         for name in names:
-            yield f"{head} {name}{''.join(m for m, has in marks if name in has)}\n"
+            yield f"{head} {name}{''.join([m for m, has in marks if name in has])}\n"
     # The successor table, walked in the order of ``a.transitions``
     # without building a triple per edge.
     states = a.states
