@@ -146,11 +146,8 @@ def test_verify_and_admissible_on_colliding_product_ids(tmp_path):
     assert run_command(["verify", s_path, g_path, g_path]) == 0
 
 
-def test_alphabet_mismatch_is_usage_error(files):
-    assert run_command(["check", "--kind", "sim", files["G"], files["dG"]]) == 2
-
-
-def test_every_alphabet_mismatch_names_both_files(files, capsys):
+def test_alphabet_mismatch_is_usage_error(files, capsys):
+    # The message names the first file and the one whose alphabet differs.
     for argv, first, other in [
         (["check", "--kind", "sim", files["G"], files["dG"]], "G", "dG"),
         (["solvable", files["dG"], files["R"]], "dG", "R"),
