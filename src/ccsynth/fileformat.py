@@ -96,7 +96,9 @@ def parse_automaton(text: str) -> Automaton:
             marked[head].setdefault(tokens[i], []).append(name)
 
     if not marked["state"]:
-        raise ParseError(text.count("\n") + 1, 1, "no initial state declared")
+        # One past the last line, counted as the loop above counts lines.
+        last = len((text + "\0").splitlines())
+        raise ParseError(last, 1, "no initial state declared")
     alphabet = Alphabet(tuple(event_index), **marked["event"])
     rows = [list(map(successor_entry, row)) for row in table]
     return Automaton.from_table(alphabet, state_index, rows, **marked["state"])

@@ -481,7 +481,7 @@ def reference_parse_automaton(text: str) -> Automaton:
         else:
             raise ParseError(lineno, col0, f"unknown directive {head!r}")
 
-    last = text.count("\n") + 1
+    last = len((text + "\0").splitlines())
     if not initial:
         raise ParseError(last, 1, "no initial state declared")
     return Automaton(

@@ -356,6 +356,19 @@ def test_no_initial_state_reports_missing_initial():
     assert "initial" in exc.value.message
 
 
+# Every character ``str.splitlines`` ends a line at, and CRLF.
+LINE_BREAKS = (
+    "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+)
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_missing_initial_is_reported_past_the_last_line(brk):
+    with pytest.raises(ParseError) as exc:
+        parse_automaton(f"event a{brk}state x{brk}")
+    assert (exc.value.line, exc.value.col) == (3, 1)
+
+
 def test_duplicate_state_rejected():
     with pytest.raises(ParseError) as exc:
         parse_automaton("event a\nstate s initial\nstate s\n")
