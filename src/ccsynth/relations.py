@@ -87,10 +87,6 @@ class RelationKind:
         return RelationKind(alphabet.uncontrollable, alphabet.required)
 
     @staticmethod
-    def simulation_wrt(events) -> "RelationKind":
-        return RelationKind(frozenset(events))
-
-    @staticmethod
     def named(name: str, alphabet) -> "RelationKind":
         try:
             return NAMED_KINDS[name](alphabet)
@@ -598,18 +594,19 @@ def product_admissibility(
     return True, None
 
 
-def is_uniform(phi: PairRelation, g: Automaton, r: Automaton) -> bool:
+def is_uniform(phi: PairRelation) -> bool:
     """Can per-string slices of ``phi`` serve as matching witnesses?
 
-    Quantifies over quadruples (x1, x2, z1, z2) whose components are all
-    reachable by one common string: the states of the synchronous
-    product of g x g with r x r, which ``product_walk`` walks on integer
-    codes and hands over as they are reached.  Whenever (x1, z1) and
-    (x2, z2) are in ``phi``, z1 enables a required event and x2 takes
-    it, some move of z2 must cover x2's move inside ``phi``.
+    ``phi`` pairs the states of a plant g (``phi.left``) with those of a
+    specification r (``phi.right``).  Quantifies over quadruples
+    (x1, x2, z1, z2) whose components are all reachable by one common
+    string: the states of the synchronous product of g x g with r x r,
+    which ``product_walk`` walks on integer codes and hands over as
+    they are reached.  Whenever (x1, z1) and (x2, z2) are in ``phi``,
+    z1 enables a required event and x2 takes it, some move of z2 must
+    cover x2's move inside ``phi``.
     """
-    if (phi.left, phi.right) != (g, r):
-        raise UniverseMismatch("relation must range over exactly (g, r)")
+    g, r = phi.left, phi.right
     require_same_alphabet(g, r)
     if not any(phi.rows):  # no quadruple can fire the clause
         return True
@@ -638,10 +635,3 @@ def is_uniform(phi: PairRelation, g: Automaton, r: Automaton) -> bool:
                     return False
     return True
 
-
-def is_cc_simulation(s_times_g: Automaton, r: Automaton, phi: PairRelation) -> bool:
-    """Is ``phi`` a covariant-contravariant simulation from ``s_times_g`` to ``r``?"""
-    if (phi.left, phi.right) != (s_times_g, r):
-        return False
-    kind = RelationKind.cc_simulation(r.alphabet)
-    return clauses_hold(phi, kind) and initial_condition(phi)

@@ -51,11 +51,12 @@ from .relations import (
     RefineResult,
     RelationKind,
     _bits,
+    clauses_hold,
     holds,
     initial_cascade,
+    initial_condition,
     initial_counterexample,
     is_admissible,
-    is_cc_simulation,
     product_admissibility,
     refine,
     unpaired_initial,
@@ -80,6 +81,10 @@ class PairSetFamily:
     members: frozenset[int]
 
     def __post_init__(self):
+        if not isinstance(self.universe, PairRelation):
+            raise UniverseMismatch(
+                "universe must be a relation over the plant and the specification"
+            )
         object.__setattr__(self, "members", frozenset(self.members))
         full = (1 << len(self.universe)) - 1
         for m in self.members:
@@ -127,9 +132,10 @@ def _maximal(masks) -> list[int]:
 
 
 class _FamilyContext:
-    """Index tables and obligation masks for one (g, r, universe) triple.
+    """Index tables and obligation masks for one universe relation.
 
-    Built from one universe mask per state, read off the universe
+    The plant g and the specification r are the relation's ``left`` and
+    ``right``.  Built from one universe mask per state, read off the
     relation's rows: ``row[x]`` holds the pairs whose plant state is x
     and ``col[z]`` those whose specification state is z.  Under an
     event, the pairs a specification state z can move to are the OR of
@@ -140,17 +146,10 @@ class _FamilyContext:
     the successor tables and the rows are read; no pair is named.
     """
 
-    def __init__(self, g: Automaton, r: Automaton, universe: PairRelation):
+    def __init__(self, universe: PairRelation):
+        g, r = universe.left, universe.right
         require_same_alphabet(g, r)
-        if not (
-            isinstance(universe, PairRelation)
-            and (universe.left, universe.right) == (g, r)
-        ):
-            raise UniverseMismatch(
-                "universe must be a relation over the plant and the specification"
-            )
-        self.g, self.r = g, r
-        self.universe = universe
+        self.g, self.r, self.universe = g, r, universe
         row = [0] * g.n_states
         col = [0] * r.n_states
         codes: list[tuple[int, int]] = []
@@ -249,7 +248,7 @@ def downward_closure(e: PairSetFamily) -> PairSetFamily:
     return PairSetFamily(e.universe, frozenset(out))
 
 
-def is_controllability_family(e: PairSetFamily, g: Automaton, r: Automaton) -> bool:
+def is_controllability_family(e: PairSetFamily) -> bool:
     """Check of the family conditions, quantified over ``e`` itself.
 
     Only the antichain A of ``e``'s maximal members is examined, and the
@@ -261,7 +260,7 @@ def is_controllability_family(e: PairSetFamily, g: Automaton, r: Automaton) -> b
     a member passes against ``e`` iff the maximal member above it passes
     against A.  The cost is O(|A|^2) instead of O(|e|^2).
     """
-    return _is_family(_FamilyContext(g, r, e.universe), _maximal(e.members))
+    return _is_family(_FamilyContext(e.universe), _maximal(e.members))
 
 
 def _is_family(ctx: _FamilyContext, chain: list[int]) -> bool:
@@ -354,7 +353,7 @@ def family_fixpoint(
     size = len(res.alive)
     if size > cap:
         raise CapExceeded(size, cap)
-    ctx = _FamilyContext(g, r, res.alive)
+    ctx = _FamilyContext(res.alive)
     chain = [ctx.full]
     iterations = 0
     while True:
@@ -428,12 +427,15 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class SynthesisOutcome:
-    """What ``synthesize`` found: the verdict, the fixpoint it rests on
-    and, when solvable, the supervisor and its verification report."""
+    """What ``synthesize`` found: the fixpoint the verdict rests on and,
+    when solvable, the supervisor and its verification report."""
 
-    solvable: bool
     fixpoint: _FamilyFixpoint
     supervisor: SupervisorAutomaton | None = None
+
+    @property
+    def solvable(self) -> bool:
+        return self.supervisor is not None
 
     @cached_property
     def family(self) -> PairSetFamily:
@@ -538,11 +540,7 @@ def _assemble_supervisor(
 
 
 def build_supervisor(
-    e: PairSetFamily,
-    g: Automaton,
-    r: Automaton,
-    *,
-    reachable_only: bool = True,
+    e: PairSetFamily, *, reachable_only: bool = True
 ) -> SupervisorAutomaton:
     """Supervisor automaton over the downward closure of ``e``.
 
@@ -559,40 +557,24 @@ def build_supervisor(
     it while walking.  The closure itself is materialized only when
     ``reachable_only=False`` asks for every member.
     """
-    ctx = _FamilyContext(g, r, e.universe)
+    ctx = _FamilyContext(e.universe)
     chain = _maximal(e.members)
     if not _is_family(ctx, chain):
         raise NotAFamily("input does not satisfy the controllability conditions")
     return _assemble_supervisor(ctx, chain, reachable_only=reachable_only)
 
 
-def extract_family(
-    s: Automaton,
-    g: Automaton,
-    r: Automaton,
-    phi: PairRelation | None = None,
-) -> PairSetFamily:
-    """Family read off a covariant-contravariant simulation witness.
+def extract_family(s: Automaton, g: Automaton, r: Automaton) -> PairSetFamily:
+    """Family read off the greatest covariant-contravariant simulation.
 
     Each supervisor state y contributes the set of (plant, specification)
-    pairs that ``phi`` relates at reachable product states (y, x).  When
-    ``phi`` is omitted the greatest witness is computed; a supplied
-    relation is verified first.
+    pairs that the greatest such simulation of ``sync_product(s, g)`` by
+    ``r`` relates at reachable product states (y, x).
     """
     prod = sync_product(s, g)
-    kind = RelationKind.cc_simulation(r.alphabet)
-    if phi is None:
-        ok, result = holds(prod, r, kind)
-        if not ok:
-            raise NotCcSimulation(result.describe())
-        phi = result
-    else:
-        if (phi.left, phi.right) != (prod, r):
-            raise UniverseMismatch(
-                "relation must range over the supervised system and the specification"
-            )
-        if not is_cc_simulation(prod, r, phi):
-            raise NotCcSimulation("supplied relation violates a clause")
+    ok, phi = holds(prod, r, RelationKind.cc_simulation(r.alphabet))
+    if not ok:
+        raise NotCcSimulation(phi.describe())
     assert prod.pair_of is not None
     theta: dict[str, set[Pair]] = {y: set() for y in s.states}
     for pid, z in phi:
@@ -642,14 +624,14 @@ def verify_solution(
     ``witness`` maps supervisor states to pairs of plant and
     specification states, as ``SupervisorAutomaton.members`` does.  When
     given, the relation Φ = {((y, x), z) : (x, z) ∈ witness[y]} is
-    checked against the simulation's clauses and initial condition in
-    one sweep over its bit rows (``is_cc_simulation``).  A relation that
-    passes lies inside the greatest simulation, wherever it came from,
-    so its pass proves the simulation and no refinement runs.  A witness
-    whose Φ is not a simulation fails the sweep, so a wrong witness can
-    only cause a fallback to the refinement, never a wrong "yes".  A
-    witness naming undeclared states falls back too, as does a call
-    without a witness.
+    checked against the simulation's clauses in one sweep over its bit
+    rows (``clauses_hold``), and against its initial condition.  A
+    relation that passes lies inside the greatest simulation, wherever
+    it came from, so its pass proves the simulation and no refinement
+    runs.  A witness whose Φ is not a simulation fails these checks, so
+    a wrong witness can only cause a fallback to the refinement, never
+    a wrong "yes".  A witness naming undeclared states falls back too,
+    as does a call without a witness.
 
     The refinement decides the simulation and names its counterexample
     off the deletion log.  Verdicts and counterexamples are those of
@@ -661,7 +643,7 @@ def verify_solution(
     kind = RelationKind.cc_simulation(r.alphabet)
     admissible, acx = product_admissibility(prod, g)
     phi = None if witness is None else _witness_relation(s, g, r, prod, witness)
-    if phi is not None and is_cc_simulation(prod, r, phi):
+    if phi is not None and clauses_hold(phi, kind) and initial_condition(phi):
         ccx = None
     else:
         ccx = initial_counterexample(refine(prod, r, kind), kind)
@@ -689,11 +671,11 @@ def synthesize(
     """
     fix = family_fixpoint(g, r, cap)
     if not fix.solvable():
-        return SynthesisOutcome(False, fix)
+        return SynthesisOutcome(fix)
     supervisor = _assemble_supervisor(
         fix.ctx, fix.antichain, reachable_only=reachable_only
     )
-    return SynthesisOutcome(True, fix, supervisor)
+    return SynthesisOutcome(fix, supervisor)
 
 
 def deterministic_fastpath(g: Automaton, r: Automaton) -> bool | None:

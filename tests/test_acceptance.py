@@ -114,7 +114,7 @@ def test_c02_diamond_family_supervisor_and_product(tmp_path):
         t0 = time.perf_counter()
         g, r = diamond_g(), diamond_r()
         e = PairSetFamily.over(g, r, DIAMOND_FAMILY)
-        assert is_controllability_family(e, g, r)
+        assert is_controllability_family(e)
 
         closure = downward_closure(e)
         expected = set(DIAMOND_FAMILY) | {
@@ -124,7 +124,7 @@ def test_c02_diamond_family_supervisor_and_product(tmp_path):
         }
         assert closure.member_sets() == frozenset(expected)
 
-        sup = build_supervisor(e, g, r)
+        sup = build_supervisor(e)
         assert sup.automaton.n_states == 4
         assert len(sup.automaton.transitions) == 5
         assert isomorphic(sup.automaton, expected_diamond_supervisor())
@@ -149,9 +149,9 @@ def test_c04_forked_family_not_uniform():
     with criterion(4, "forked: valid family whose union is not uniform"):
         g, r = forked_g(), forked_r()
         e = PairSetFamily.over(g, r, FORKED_FAMILY)
-        assert is_controllability_family(e, g, r) is True
+        assert is_controllability_family(e) is True
         union = PairRelation(g, r, frozenset(p for w in FORKED_FAMILY for p in w))
-        assert is_uniform(union, g, r) is False
+        assert is_uniform(union) is False
 
 
 def test_c05_deterministic_fastpath_agreement():
@@ -220,7 +220,7 @@ def _maximality_probe(g, r, limit=200):
         ok, _ = holds(sync_product(variant, g), best, sim)
         assert ok
         fam = extract_family(variant, g, r)
-        assert is_controllability_family(fam, g, r)
+        assert is_controllability_family(fam)
     return passing
 
 
@@ -238,10 +238,10 @@ def test_c09_projection_invariant_on_worked_instances():
     with criterion(9, "supervisor members project to exactly the reachable plant states"):
         checks = []
         g, r = diamond_g(), diamond_r()
-        checks.append((build_supervisor(PairSetFamily.over(g, r, DIAMOND_FAMILY), g, r), g))
+        checks.append((build_supervisor(PairSetFamily.over(g, r, DIAMOND_FAMILY)), g))
         checks.append((synthesize(g, r).supervisor, g))
         gf, rf = forked_g(), forked_r()
-        checks.append((build_supervisor(PairSetFamily.over(gf, rf, FORKED_FAMILY), gf, rf), gf))
+        checks.append((build_supervisor(PairSetFamily.over(gf, rf, FORKED_FAMILY)), gf))
         checks.append((synthesize(gf, rf).supervisor, gf))
         gs, rs = scanner_g(()), scanner_r(())
         checks.append((synthesize(gs, rs).supervisor, gs))

@@ -105,7 +105,7 @@ def test_antichain_family_check_agrees_with_pairwise_check():
     for g, r, fix in small_instances(120, 310_000):
         for e in random_families(rng, fix, 12):
             expected = pairwise_is_controllability_family(e, g, r)
-            assert is_controllability_family(e, g, r) == expected
+            assert is_controllability_family(e) == expected
             checked += 1
             valid += expected
             not_closed += downward_closure(e).members != e.members
@@ -161,7 +161,7 @@ def test_full_supervisor_agrees_with_closure_assembly():
             continue
         for reachable_only in (False, True):
             assert_same_supervisor(
-                build_supervisor(e, g, r, reachable_only=reachable_only),
+                build_supervisor(e, reachable_only=reachable_only),
                 closure_supervisor(e, g, r, reachable_only=reachable_only),
             )
         built += 1

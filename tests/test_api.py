@@ -55,28 +55,28 @@ PINNED = {
     "ProductState": '(left, right)',
     "RelationKind": '(forward_events, backward_events=..., check_inverse_initial=...)',
     "SupervisorAutomaton": '(automaton, members)',
-    "SynthesisOutcome": '(solvable, fixpoint, supervisor=...)',
+    "SynthesisOutcome": '(fixpoint, supervisor=...)',
     "UniverseMismatch": None,
     "UnknownEvent": None,
     "UnknownState": None,
     "ValidationError": None,
     "VerificationReport": '(admissible, cc_simulated, admissibility_counterexample=..., cc_counterexample=...)',
     "bisimilarity_solvable": '(g, r, cap=...)',
-    "build_supervisor": '(e, g, r, *, reachable_only=...)',
+    "build_supervisor": '(e, *, reachable_only=...)',
     "deterministic_fastpath": '(g, r)',
     "downward_closure": '(e)',
     "enumerate_subsupervisors": '(s, limit)',
     "export_dot": '(a)',
-    "extract_family": '(s, g, r, phi=...)',
+    "extract_family": '(s, g, r)',
     "greatest_family": '(g, r, cap=...)',
     "greatest_relation": '(a, b, kind)',
     "holds": '(a, b, kind)',
     "initial_condition": '(phi)',
     "is_admissible": '(s, g)',
-    "is_controllability_family": '(e, g, r)',
+    "is_controllability_family": '(e)',
     "is_deterministic": '(a)',
     "is_solvable": '(g, r, cap=...)',
-    "is_uniform": '(phi, g, r)',
+    "is_uniform": '(phi)',
     "load_automaton": '(path)',
     "make_automaton": '(events, states, transitions, initial, *, uncontrollable=..., required=...)',
     "pairs_universe": '(g, r)',

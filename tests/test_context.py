@@ -94,7 +94,7 @@ def universes(g, r, rng):
 
 
 def assert_same_context(g, r, universe):
-    got = _FamilyContext(g, r, universe)
+    got = _FamilyContext(universe)
     want = named_family_context(g, r, tuple(universe))
     for name in FIELDS:
         assert getattr(got, name) == getattr(want, name), name
@@ -129,16 +129,12 @@ def test_context_rejects_pairs_outside_the_automata():
             PairRelation(g, r, bad)
         with pytest.raises(UniverseMismatch, match=message):
             PairSetFamily.over(g, r, [DIAMOND_FAMILY[0] | {pair}])
-    # The context takes only a relation over its own plant and specification.
-    other = [
-        PairRelation(r, r, ()),
-        PairRelation(g, g, ()),
-        PairRelation(ladder_g(), r, ()),
-        tuple(pairs_universe(g, r)),
-    ]
-    for universe in other:
+    # A family's universe is a relation, which names the plant and the
+    # specification; plain pairs name neither.
+    pairs = pairs_universe(g, r)
+    for universe in (tuple(pairs), frozenset(pairs), list(pairs), None):
         with pytest.raises(UniverseMismatch, match="^universe must be a relation"):
-            _FamilyContext(g, r, universe)
+            PairSetFamily(universe, frozenset())
 
 
 def test_good_mask_agrees_with_per_pair_check():
@@ -147,7 +143,7 @@ def test_good_mask_agrees_with_per_pair_check():
     nonzero = partial = 0
     for g, r in cases:
         for universe in universes(g, r, rng):
-            ctx = _FamilyContext(g, r, universe)
+            ctx = _FamilyContext(universe)
             named = named_family_context(g, r, tuple(universe))
             targets = [0, ctx.full] + [rng.randint(0, ctx.full) for _ in range(12)]
             for ev in g.alphabet.events:
@@ -170,7 +166,7 @@ def test_family_code_makes_no_named_successor_query(monkeypatch):
         (diamond_g(), diamond_r(), DIAMOND_FAMILY),
         (forked_g(), forked_r(), FORKED_FAMILY),
     ]
-    families = [(PairSetFamily.over(g, r, sets), g, r) for g, r, sets in worked]
+    families = [PairSetFamily.over(g, r, sets) for g, r, sets in worked]
     cases = worked_instances() + c08_sweep()
 
     def no_successors(self, state, event):
@@ -181,11 +177,11 @@ def test_family_code_makes_no_named_successor_query(monkeypatch):
         fix = family_fixpoint(g, r)
         if fix.solvable():
             chain = frozenset(fix.antichain)
-            families.append((PairSetFamily(fix.ctx.universe, chain), g, r))
-    for e, g, r in families:
-        assert is_controllability_family(e, g, r)
+            families.append(PairSetFamily(fix.ctx.universe, chain))
+    for e in families:
+        assert is_controllability_family(e)
         for reachable_only in (True, False):
-            build_supervisor(e, g, r, reachable_only=reachable_only)
+            build_supervisor(e, reachable_only=reachable_only)
     assert len(families) >= 15
     with pytest.raises(AssertionError, match="named successor"):
         diamond_g().successors("x0", diamond_g().alphabet.events[0])

@@ -102,7 +102,7 @@ def compare(g, r, tmp_path, stem, capsys, *, full) -> tuple[int, bytes | None]:
     # public build_supervisor, given the antichain as a family, agrees
     fix = lib.fixpoint
     family = PairSetFamily(fix.ctx.universe, frozenset(fix.antichain))
-    before = build_supervisor(family, g, r, reachable_only=not full)
+    before = build_supervisor(family, reachable_only=not full)
     assert written == serialize_automaton(before.automaton).encode("utf-8")
     return code, written
 
@@ -209,7 +209,7 @@ def test_one_command_runs_the_pipeline_once(tmp_path, capsys, calls, full):
 
 def test_build_supervisor_builds_one_context(calls):
     g, r = diamond_g(), diamond_r()
-    build_supervisor(PairSetFamily.over(g, r, DIAMOND_FAMILY), g, r)
+    build_supervisor(PairSetFamily.over(g, r, DIAMOND_FAMILY))
     assert calls == ["context"]
 
 

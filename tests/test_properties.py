@@ -167,7 +167,7 @@ def test_every_extracted_family_lies_inside_fixpoint():
         if not out.solvable:
             continue
         fam = extract_family(out.supervisor.automaton, g, r)
-        assert is_controllability_family(fam, g, r)
+        assert is_controllability_family(fam)
         top = out.family
         index = {p: i for i, p in enumerate(top.universe)}
         assert set(fam.universe) <= set(top.universe)
@@ -183,7 +183,7 @@ def test_every_extracted_family_lies_inside_fixpoint():
 def test_supervisor_monotone_in_family():
     g, r = diamond_g(), diamond_r()
     small = PairSetFamily.over(g, r, DIAMOND_FAMILY)
-    sup_small = build_supervisor(small, g, r)
+    sup_small = build_supervisor(small)
     out = synthesize(g, r)
     sup_big = out.supervisor
     lhs = sync_product(sup_small.automaton, g)
@@ -228,7 +228,7 @@ def test_uniform_relation_with_initial_pairing_implies_solvable():
         if not ok:
             continue
         rel = greatest_relation(g, r, RelationKind.ucr_simulation(g.alphabet))
-        if is_uniform(rel, g, r):
+        if is_uniform(rel):
             assert is_solvable(g, r)
             hits += 1
     assert hits >= 50
@@ -237,7 +237,7 @@ def test_uniform_relation_with_initial_pairing_implies_solvable():
 def test_deterministic_relations_always_uniform():
     for g, r in spec_stream(100, 10200, deterministic=True):
         rel = greatest_relation(g, r, RelationKind.ucr_simulation(g.alphabet))
-        assert is_uniform(rel, g, r)
+        assert is_uniform(rel)
 
 
 def test_arbitrary_passing_supervisors_dominated_by_synthesized():

@@ -156,18 +156,18 @@ def test_closure_of_two_element_member_has_four_subsets():
 
 def test_diamond_family_is_controllability_family():
     g, r = diamond_g(), diamond_r()
-    assert is_controllability_family(PairSetFamily.over(g, r, DIAMOND_FAMILY), g, r)
+    assert is_controllability_family(PairSetFamily.over(g, r, DIAMOND_FAMILY))
 
 
 def test_forked_family_is_controllability_family():
     g, r = forked_g(), forked_r()
-    assert is_controllability_family(PairSetFamily.over(g, r, FORKED_FAMILY), g, r)
+    assert is_controllability_family(PairSetFamily.over(g, r, FORKED_FAMILY))
 
 
 def test_family_of_only_empty_member_fails_istate():
     g, r = diamond_g(), diamond_r()
     fam = PairSetFamily(pairs_universe(g, r), frozenset({0}))
-    assert not is_controllability_family(fam, g, r)
+    assert not is_controllability_family(fam)
 
 
 # --- greatest_family / is_solvable ----------------------------------------
@@ -272,7 +272,7 @@ def expected_diamond_product():
 
 def test_diamond_supervisor_matches_expected_automaton():
     g, r = diamond_g(), diamond_r()
-    sup = build_supervisor(PairSetFamily.over(g, r, DIAMOND_FAMILY), g, r)
+    sup = build_supervisor(PairSetFamily.over(g, r, DIAMOND_FAMILY))
     assert sup.automaton.n_states == 4
     assert isomorphic(sup.automaton, expected_diamond_supervisor())
     assert sup.automaton.initial == ("W{x0:z0}",)
@@ -281,7 +281,7 @@ def test_diamond_supervisor_matches_expected_automaton():
 
 def test_diamond_supervised_system_matches_expected_product():
     g, r = diamond_g(), diamond_r()
-    sup = build_supervisor(PairSetFamily.over(g, r, DIAMOND_FAMILY), g, r)
+    sup = build_supervisor(PairSetFamily.over(g, r, DIAMOND_FAMILY))
     prod = sync_product(sup.automaton, g)
     assert prod.n_states == 5
     assert isomorphic(prod, expected_diamond_product())
@@ -290,9 +290,9 @@ def test_diamond_supervised_system_matches_expected_product():
 def test_full_supervisor_keeps_unreachable_members():
     g, r = diamond_g(), diamond_r()
     e = PairSetFamily.over(g, r, DIAMOND_FAMILY)
-    sup = build_supervisor(e, g, r, reachable_only=False)
+    sup = build_supervisor(e, reachable_only=False)
     assert sup.automaton.n_states == 7
-    reachable = build_supervisor(e, g, r)
+    reachable = build_supervisor(e)
     assert set(reachable.automaton.states) <= set(sup.automaton.states)
     # trimming the full construction recovers exactly the reachable part
     assert set(reachable_part(sup.automaton).states) == set(reachable.automaton.states)
@@ -302,7 +302,7 @@ def test_build_supervisor_rejects_non_family():
     g, r = ladder_g(), ladder_r()
     fam = PairSetFamily(pairs_universe(g, r), frozenset({0}))
     with pytest.raises(NotAFamily):
-        build_supervisor(fam, g, r)
+        build_supervisor(fam)
 
 
 # --- extract_family -----------------------------------------------------
@@ -312,7 +312,7 @@ def test_extract_family_scanner_without_required():
     g, r, s = scanner_g(()), scanner_r(()), scanner_s(())
     fam = extract_family(s, g, r)
     assert frozenset({("x2", "z2"), ("x3", "z2")}) in fam.member_sets()
-    assert is_controllability_family(fam, g, r)
+    assert is_controllability_family(fam)
 
 
 def test_extract_family_universal_supervisor_diamond_no_required():
@@ -364,14 +364,6 @@ def test_extract_family_rejects_non_cc_simulation():
         extract_family(s, g, r)
 
 
-def test_extract_family_verifies_supplied_relation():
-    g, r, s = scanner_g(()), scanner_r(()), scanner_s(())
-    prod = sync_product(s, g)
-    bogus = PairRelation(prod, r, frozenset({("(y0,x0)", "z1")}))
-    with pytest.raises(NotCcSimulation):
-        extract_family(s, g, r, bogus)
-
-
 # --- verify_solution -------------------------------------------------------
 
 
@@ -386,7 +378,7 @@ def test_verify_scanner_supervisor_fails_on_required_cancel():
 
 def test_verify_diamond_family_supervisor_passes():
     g, r = diamond_g(), diamond_r()
-    sup = build_supervisor(PairSetFamily.over(g, r, DIAMOND_FAMILY), g, r)
+    sup = build_supervisor(PairSetFamily.over(g, r, DIAMOND_FAMILY))
     rep = verify_solution(sup.automaton, g, r)
     assert rep.overall
 

@@ -89,7 +89,7 @@ def test_generator_rejects_bad_spec():
 
 def test_subsupervisors_counting():
     g, r = diamond_g(), diamond_r()
-    sup = build_supervisor(PairSetFamily.over(g, r, DIAMOND_FAMILY), g, r)
+    sup = build_supervisor(PairSetFamily.over(g, r, DIAMOND_FAMILY))
     k = len(sup.automaton.transitions)
     variants = list(enumerate_subsupervisors(sup, 1 << 20))
     assert len(variants) == (1 << k) - 1
@@ -98,13 +98,13 @@ def test_subsupervisors_counting():
 
 def test_subsupervisors_limit_zero():
     g, r = diamond_g(), diamond_r()
-    sup = build_supervisor(PairSetFamily.over(g, r, DIAMOND_FAMILY), g, r)
+    sup = build_supervisor(PairSetFamily.over(g, r, DIAMOND_FAMILY))
     assert list(enumerate_subsupervisors(sup, 0)) == []
 
 
 def test_subsupervisors_include_single_edge_deletions():
     g, r = diamond_g(), diamond_r()
-    sup = build_supervisor(PairSetFamily.over(g, r, DIAMOND_FAMILY), g, r)
+    sup = build_supervisor(PairSetFamily.over(g, r, DIAMOND_FAMILY))
     required_edge = ("W{x2:z2,x3:z3}", "l", "W{x4:z4}")
     assert required_edge in sup.automaton.transitions
     seen_without = False
