@@ -634,4 +634,3 @@ def is_uniform(phi: PairRelation) -> bool:
                 if not all(rows[x] & mask for x in gs[k][x2]):
                     return False
     return True
-
