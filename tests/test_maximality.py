@@ -4,9 +4,10 @@
 every small solution found by enumeration (``small_solutions``) must
 have its supervised system simulated by the synthesized one's: a
 maximally permissive supervisor allows whatever any solution allows.
-Each solvable draw of the C08 sweep runs every one-state automaton and
-a seeded sample of two-state ones.  The same sample must tell two
-solutions that are not maximal from the synthesized supervisor.
+Each draw of the C08 sweep runs every one-state automaton and a seeded
+sample of two-state ones.  The same sample must tell two solutions that
+are not maximal from the synthesized supervisor, and on a draw the
+fixpoint calls unsolvable it must find no solution at all.
 """
 
 from ccsynth import (
@@ -58,14 +59,18 @@ def test_small_automata_are_every_automaton():
 
 def test_no_small_solution_escapes_the_synthesized_supervisor():
     caught = {"trimmed": [], "pruned": []}
-    solvable = 0
+    solvable = unsolvable = with_solution = 0
     for i, (g, r) in enumerate(c08_sweep()):
         out = synthesize(g, r)
+        solutions = list(small_solutions(g, r, 2, sample=SAMPLE, seed=i))
         if not out.solvable:
+            # A "no" verdict, checked by enumeration alone.
+            assert solutions == []
+            unsolvable += 1
             continue
         solvable += 1
+        with_solution += bool(solutions)
         sup = out.supervisor
-        solutions = list(small_solutions(g, r, 2, sample=SAMPLE, seed=i))
         assert escaping(solutions, sup.automaton, g) == []
         mutant = trimmed(sup)
         assert verify_solution(mutant, g, r).overall
@@ -79,7 +84,7 @@ def test_no_small_solution_escapes_the_synthesized_supervisor():
             if verify_solution(pruned, g, r).overall and escaping(solutions, pruned, g):
                 caught["pruned"].append(i)
                 break
-    assert solvable == 24
+    assert (solvable, with_solution, unsolvable) == (24, 22, 36)
     # The trimmed mutant is caught on each of the five draws where some
     # automaton of at most two states, sampled or not, escapes it.
     assert caught["trimmed"] == [35, 42, 45, 50, 56]
