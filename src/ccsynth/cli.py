@@ -148,7 +148,7 @@ def _cmd_solvable(args, report: _Report) -> int:
 
 def _cmd_synthesize(args, report: _Report) -> int:
     g, r = _load(args.g, args.r)
-    out = synthesize(g, r, _cap(), reachable_only=not args.full)
+    out = synthesize(g, r, _cap())
     if not _report_fixpoint(report, out.fixpoint):
         report.result = False
         report.lines.append("unsolvable; no supervisor written")
@@ -263,11 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("r")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--dot", help="also write a DOT rendering of the supervisor")
-    p.add_argument(
-        "--full",
-        action="store_true",
-        help="keep unreachable supervisor states instead of the reachable part",
-    )
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("verify", help="independently verify a candidate supervisor")

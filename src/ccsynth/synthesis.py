@@ -488,9 +488,7 @@ def _hitting_sets(chain: list[int], obs) -> list[int]:
     return sorted(cand)
 
 
-def _assemble_supervisor(
-    ctx: _FamilyContext, chain: list[int], *, reachable_only: bool
-) -> SupervisorAutomaton:
+def _assemble_supervisor(ctx: _FamilyContext, chain: list[int]) -> SupervisorAutomaton:
     # Initial supervisor states: members that meet every initial plant
     # state's pairs with initial specification states (the istate
     # condition), inside those pairs.
@@ -499,10 +497,7 @@ def _assemble_supervisor(
         raise NotAFamily("no member realizes the initial condition")
     family = PairSetFamily(ctx.universe, frozenset(chain))
     events = ctx.g.alphabet.events
-    if reachable_only:
-        order = list(initial)
-    else:
-        order = sorted(downward_closure(family).members)
+    order = list(initial)
     position = {w: i for i, w in enumerate(order)}
     # Edge targets depend on a member and event only through the forward
     # obligations, so they are found once per set of obligations, and
@@ -510,8 +505,7 @@ def _assemble_supervisor(
     memo: dict[frozenset[int], tuple[int, ...]] = {}
     table: list[list[tuple[int, ...]]] = [[] for _ in events]
     # Members are expanded in state order, so each appends its own row;
-    # when reachable_only, the members found along the way are queued
-    # at the end of ``order``.
+    # the members found along the way are queued at the end of ``order``.
     i = 0
     while i < len(order):
         w = order[i]
@@ -539,29 +533,26 @@ def _assemble_supervisor(
     return SupervisorAutomaton(automaton=aut, members=dict(zip(names, pairs)))
 
 
-def build_supervisor(
-    e: PairSetFamily, *, reachable_only: bool = True
-) -> SupervisorAutomaton:
+def build_supervisor(e: PairSetFamily) -> SupervisorAutomaton:
     """Supervisor automaton over the downward closure of ``e``.
 
     States are closure members; initial states are the members that
     realize the istate condition inside initial-by-initial pairs; there
     is a transition W --ev--> W' when some paired move realizes ``ev``,
     W' matches all of W's moves, and W' stays inside the pairs reachable
-    by W's moves.  By default only the part reachable from the initial
-    members is kept.
+    by W's moves.  Only the part reachable from the initial members is
+    kept: S‖G never visits any other member.
 
     Everything works from the antichain of ``e``'s maximal members: the
     family check is exact on it (see ``is_controllability_family``), and
     the closure members needed as states are generated as submasks of
-    it while walking.  The closure itself is materialized only when
-    ``reachable_only=False`` asks for every member.
+    it while walking, so the closure itself is never materialized.
     """
     ctx = _FamilyContext(e.universe)
     chain = _maximal(e.members)
     if not _is_family(ctx, chain):
         raise NotAFamily("input does not satisfy the controllability conditions")
-    return _assemble_supervisor(ctx, chain, reachable_only=reachable_only)
+    return _assemble_supervisor(ctx, chain)
 
 
 def extract_family(s: Automaton, g: Automaton, r: Automaton) -> PairSetFamily:
@@ -655,27 +646,22 @@ def verify_solution(
     )
 
 
-def synthesize(
-    g: Automaton, r: Automaton, cap: int | None = None, *, reachable_only: bool = True
-) -> SynthesisOutcome:
+def synthesize(g: Automaton, r: Automaton, cap: int | None = None) -> SynthesisOutcome:
     """Decide solvability and build the maximally permissive supervisor.
 
     When solvable, the supervisor built from the greatest fixpoint
     simulates every other solution's supervised behavior; the outcome's
     ``report`` re-verifies it through the independent membership test
     when it is read.  The outcome keeps the fixpoint's antichain; its
-    downward closure is built only when ``family`` is read, or as
-    supervisor states when ``reachable_only=False`` keeps every member
-    (as in ``build_supervisor``).  The fixpoint is a controllability
-    family by construction, so it is assembled without a family check.
+    downward closure is built only when ``family`` is read.  The
+    supervisor is the reachable part, as in ``build_supervisor``.  The
+    fixpoint is a controllability family by construction, so it is
+    assembled without a family check.
     """
     fix = family_fixpoint(g, r, cap)
     if not fix.solvable():
         return SynthesisOutcome(fix)
-    supervisor = _assemble_supervisor(
-        fix.ctx, fix.antichain, reachable_only=reachable_only
-    )
-    return SynthesisOutcome(fix, supervisor)
+    return SynthesisOutcome(fix, _assemble_supervisor(fix.ctx, fix.antichain))
 
 
 def deterministic_fastpath(g: Automaton, r: Automaton) -> bool | None:

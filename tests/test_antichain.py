@@ -3,13 +3,13 @@
 ``is_controllability_family``, the hitting-set edge targets and
 ``build_supervisor`` work from a family's maximal members alone.  Each
 is compared with the closure-based oracle it replaced (kept in
-``oracles``), and the CLI path and library ``synthesize`` are shown to
-build no closure, the CLI writing the library's bytes.
+``oracles``), the paper's whole-closure construction is shown to trim
+to ``build_supervisor``'s automaton, and the CLI and library
+``synthesize`` are shown to build no closure, the CLI writing the
+library's bytes.
 """
 
 import random
-
-import pytest
 
 from ccsynth import (
     build_supervisor,
@@ -23,6 +23,7 @@ from ccsynth import (
 )
 from ccsynth import synthesis
 from ccsynth.cli import run_command
+from ccsynth.relations import NAMED_KINDS
 from ccsynth.synthesis import (
     PairSetFamily,
     _hitting_sets,
@@ -47,9 +48,11 @@ from oracles import (
     closure_supervisor,
     named_family_context,
     pairwise_is_controllability_family,
+    reachable_part,
     submask_edge_targets,
 )
 from test_acceptance import sweep
+from test_tables import c08_sweep
 
 MAX_UNIVERSE = 8
 
@@ -144,7 +147,7 @@ def assert_same_supervisor(actual, expected):
     )
 
 
-def test_full_supervisor_agrees_with_closure_assembly():
+def test_supervisor_agrees_with_closure_assembly():
     rng = random.Random(5)
     built = 0
     families = [
@@ -159,13 +162,36 @@ def test_full_supervisor_agrees_with_closure_assembly():
     for e, g, r in families:
         if not pairwise_is_controllability_family(e, g, r):
             continue
-        for reachable_only in (False, True):
-            assert_same_supervisor(
-                build_supervisor(e, reachable_only=reachable_only),
-                closure_supervisor(e, g, r, reachable_only=reachable_only),
-            )
+        assert_same_supervisor(build_supervisor(e), closure_supervisor(e, g, r))
         built += 1
     assert built >= 40
+
+
+def test_full_closure_construction_trims_to_the_supervisor():
+    """The paper's construction over every closure member, cut to its
+    reachable part, is ``build_supervisor``'s automaton: the members it
+    adds are states that S‖G never visits."""
+    g, r = diamond_g(), diamond_r()
+    families = [(PairSetFamily.over(g, r, DIAMOND_FAMILY), g, r)]
+    draws = [(mk_g(), mk_r()) for mk_g, mk_r in WORKED.values()]
+    for g, r in draws + list(c08_sweep()):
+        fix = family_fixpoint(g, r)
+        # A bound on the closure's size: the full construction writes
+        # every member as a state.
+        if fix.solvable() and sum(1 << m.bit_count() for m in fix.antichain) <= 4096:
+            e = PairSetFamily(fix.ctx.universe, frozenset(fix.antichain))
+            families.append((e, g, r))
+    for e, g, r in families:
+        sup = build_supervisor(e).automaton
+        full = closure_supervisor(e, g, r, reachable_only=False).automaton
+        trimmed = reachable_part(full)
+        assert set(trimmed.states) == set(sup.states)
+        assert set(trimmed.initial) == set(sup.initial)
+        assert set(trimmed.transitions) == set(sup.transitions)
+        assert full.n_states > sup.n_states
+    # The diamond family, the three solvable worked examples and 23 of
+    # the 24 solvable C08 draws.
+    assert len(families) == 27
 
 
 def test_reachable_cli_synthesis_builds_no_closure(tmp_path, monkeypatch):
@@ -177,19 +203,22 @@ def test_reachable_cli_synthesis_builds_no_closure(tmp_path, monkeypatch):
     outcomes = []
     for name, (mk_g, mk_r) in WORKED.items():
         outcomes.append((mk_g(), mk_r(), synthesize(mk_g(), mk_r())))
-        g_path, r_path = tmp_path / f"{name}G.aut", tmp_path / f"{name}R.aut"
-        save_automaton(mk_g(), g_path)
-        save_automaton(mk_r(), r_path)
-        out = tmp_path / f"{name}S.aut"
-        code = run_command(["synthesize", str(g_path), str(r_path), "-o", str(out)])
+        g, r = str(tmp_path / f"{name}G.aut"), str(tmp_path / f"{name}R.aut")
+        save_automaton(mk_g(), g)
+        save_automaton(mk_r(), r)
+        s, dot = str(tmp_path / f"{name}S.aut"), str(tmp_path / f"{name}S.dot")
+        code = run_command(["synthesize", g, r, "-o", s])
         assert code in (0, 1)
+        # No subcommand builds a closure, whatever its options.
+        commands = [["check", "--kind", kind, g, r] for kind in NAMED_KINDS]
+        commands += [["solvable", g, r], ["uniform", g, r]]
+        for opt in (["--json"], ["--dot", dot]):
+            commands.append(["synthesize", g, r, "-o", s, *opt])
         if code == 0:
             solved += 1
-            # the full construction still asks for every closure member
-            with pytest.raises(RuntimeError, match="closure"):
-                run_command(
-                    ["synthesize", str(g_path), str(r_path), "-o", str(out), "--full"]
-                )
+            commands += [["admissible", s, g], ["verify", s, g, r]]
+        for argv in commands:
+            assert run_command(argv) in (0, 1)
     assert solved == 3
     # library outcomes build the closure only once ``family`` is read
     monkeypatch.undo()

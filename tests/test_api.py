@@ -62,7 +62,7 @@ PINNED = {
     "ValidationError": None,
     "VerificationReport": '(admissible, cc_simulated, admissibility_counterexample=..., cc_counterexample=...)',
     "bisimilarity_solvable": '(g, r, cap=...)',
-    "build_supervisor": '(e, *, reachable_only=...)',
+    "build_supervisor": '(e)',
     "deterministic_fastpath": '(g, r)',
     "downward_closure": '(e)',
     "enumerate_subsupervisors": '(s, limit)',
@@ -85,7 +85,7 @@ PINNED = {
     "save_automaton": '(a, path)',
     "serialize_automaton": '(a)',
     "sync_product": '(s, g)',
-    "synthesize": '(g, r, cap=..., *, reachable_only=...)',
+    "synthesize": '(g, r, cap=...)',
     "validate_automaton": '(a)',
     "verify_solution": '(s, g, r, witness=...)',
 }

@@ -280,21 +280,23 @@ def test_random_out_of_range_is_usage_error(tmp_path, capsys, bad):
 
 
 def test_one_parser_serves_every_command(files, monkeypatch, capsys):
-    out = files["tmp"] / "out.aut"
+    out, dot = files["tmp"] / "out.aut", files["tmp"] / "out.dot"
+    synth = ["synthesize", files["dG"], files["dR"], "-o", str(out)]
     commands = [
-        ["synthesize", files["dG"], files["dR"], "-o", str(out), "--full"],
-        ["synthesize", files["dG"], files["dR"], "-o", str(out)],
+        synth + ["--dot", str(dot)],
+        synth,
         ["check", "--kind", "sim", files["G"], files["R"]],
         ["check", "--kind", "ccsim", files["G"], files["R"]],
         ["solvable", files["G"], files["R"], "--json"],
         ["solvable", files["G"], files["R"]],
         ["synthesize", files["dG"], files["dR"]],
         ["--help"],
-        ["synthesize", files["dG"], files["dR"], "-o", str(out), "--full", "--json"],
+        synth + ["--dot", str(dot), "--json"],
         ["check", "--kind", "bogus", files["G"], files["R"]],
         ["check", "--help"],
-        ["synthesize", files["dG"], files["dR"], "-o", str(out)],
+        synth,
         ["check", "--kind", "sim", files["G"], files["R"]],
+        synth + ["--full"],
     ]
 
     def run_all():
@@ -302,10 +304,11 @@ def test_one_parser_serves_every_command(files, monkeypatch, capsys):
         for argv in commands:
             code = run_command(argv)
             std = capsys.readouterr()
-            written = out.read_bytes() if out.exists() else None
+            written = [p.read_bytes() if p.exists() else None for p in (out, dot)]
             out.unlink(missing_ok=True)
+            dot.unlink(missing_ok=True)
             stdout = re.sub(r'"millis": [0-9.e-]+', '"millis": _', std.out)
-            seen.append((code, stdout, std.err, written))
+            seen.append((code, stdout, std.err, *written))
         return seen
 
     built = []
@@ -326,10 +329,14 @@ def test_one_parser_serves_every_command(files, monkeypatch, capsys):
         m.setattr(cli, "_parser", build_parser)
         fresh = run_all()
     assert reused == fresh
-    assert [code for code, *_ in fresh] == [0, 0, 0, 1, 1, 1, 2, 0, 0, 2, 0, 0, 0]
-    # --full keeps unreachable supervisor states; a leaked flag would
-    # make the plain run write the same file.
-    assert fresh[0][3] != fresh[1][3] == fresh[11][3]
+    assert [code for code, *_ in fresh] == [0, 0, 0, 1, 1, 1, 2, 0, 0, 2, 0, 0, 0, 2]
+    # A --dot leaked into the next parse would make the plain runs that
+    # follow write a DOT file too.
+    assert fresh[0][3] == fresh[1][3] == fresh[11][3] is not None
+    assert fresh[0][4] is not None and fresh[8][4] is not None
+    assert fresh[1][4] is None and fresh[11][4] is None
+    # --full is no option of synthesize.
+    assert fresh[13][3:] == (None, None) and "--full" in fresh[13][2]
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -27,7 +27,7 @@ from ccsynth import (
 )
 from ccsynth import cli, synthesis
 from ccsynth.cli import run_command
-from ccsynth.synthesis import family_fixpoint, solvability_counterexample
+from ccsynth.synthesis import solvability_counterexample
 
 from instances import (
     DIAMOND_FAMILY,
@@ -52,11 +52,6 @@ WORKED = {
     "forked": (forked_g, forked_r),
 }
 
-# --full writes every closure member as a state; above this bound on
-# the closure size the comparison costs seconds and adds nothing.
-FULL_CLOSURE_BOUND = 1 << 12
-
-
 def expected_payload(out) -> dict:
     fix = out.fixpoint
     cx = solvability_counterexample(fix)
@@ -72,7 +67,7 @@ def expected_payload(out) -> dict:
     }
 
 
-def compare(g, r, tmp_path, stem, capsys, *, full) -> tuple[int, bytes | None]:
+def compare(g, r, tmp_path, stem, capsys) -> tuple[int, bytes | None]:
     """Run the command and the library on one instance; return the
     command's exit code and supervisor bytes after checking they agree."""
     g_path, r_path = tmp_path / f"{stem}G.aut", tmp_path / f"{stem}R.aut"
@@ -82,12 +77,12 @@ def compare(g, r, tmp_path, stem, capsys, *, full) -> tuple[int, bytes | None]:
     save_automaton(g, g_path)
     save_automaton(r, r_path)
     argv = ["synthesize", str(g_path), str(r_path), "-o", str(out), "--dot", str(dot)]
-    code = run_command(argv + ["--json"] + (["--full"] if full else []))
+    code = run_command(argv + ["--json"])
     payload = json.loads(capsys.readouterr().out)
     del payload["stats"]["millis"]
 
     g, r = load_automaton(g_path), load_automaton(r_path)
-    lib = synthesize(g, r, reachable_only=not full)
+    lib = synthesize(g, r)
     assert payload == expected_payload(lib)
     if not lib.solvable:
         assert code == 1
@@ -102,40 +97,25 @@ def compare(g, r, tmp_path, stem, capsys, *, full) -> tuple[int, bytes | None]:
     # public build_supervisor, given the antichain as a family, agrees
     fix = lib.fixpoint
     family = PairSetFamily(fix.ctx.universe, frozenset(fix.antichain))
-    before = build_supervisor(family, reachable_only=not full)
+    before = build_supervisor(family)
     assert written == serialize_automaton(before.automaton).encode("utf-8")
     return code, written
 
 
-def small_closure(g, r) -> bool:
-    fix = family_fixpoint(g, r)
-    return sum(1 << m.bit_count() for m in fix.antichain) <= FULL_CLOSURE_BOUND
-
-
 def test_command_matches_library_on_worked_examples(tmp_path, capsys):
-    codes = {}
-    for name, (mk_g, mk_r) in WORKED.items():
-        for full in (False, True):
-            code, _ = compare(mk_g(), mk_r(), tmp_path, name, capsys, full=full)
-            codes[name, full] = code
-    assert [name for name, full in codes if not full and codes[name, full] == 0] == [
-        "scanner_free",
-        "diamond",
-        "forked",
+    solved = [
+        name
+        for name, (mk_g, mk_r) in WORKED.items()
+        if compare(mk_g(), mk_r(), tmp_path, name, capsys)[0] == 0
     ]
-    assert all(codes[name, False] == codes[name, True] for name in WORKED)
+    assert solved == ["scanner_free", "diamond", "forked"]
 
 
 def test_command_matches_library_on_c08_sweep(tmp_path, capsys):
-    solved = full_runs = 0
+    solved = 0
     for i, (g, r) in enumerate(sweep(60, 130_000, g_states=3, r_states=3, events=2)):
-        code, _ = compare(g, r, tmp_path, f"c{i}", capsys, full=False)
-        solved += code == 0
-        if code == 0 and small_closure(g, r):
-            assert compare(g, r, tmp_path, f"c{i}", capsys, full=True)[0] == 0
-            full_runs += 1
+        solved += compare(g, r, tmp_path, f"c{i}", capsys)[0] == 0
     assert solved >= 20
-    assert full_runs >= 20
 
 
 def finished_synth_draws():
@@ -148,17 +128,12 @@ def finished_synth_draws():
 
 def test_command_matches_library_on_finished_synth_draws(tmp_path, capsys):
     draws = finished_synth_draws()
-    full_runs = 0
     for entry in draws:
         g, r = random_instance(InstanceSpec(*entry["spec"]))
-        code, written = compare(g, r, tmp_path, entry["id"], capsys, full=False)
+        code, written = compare(g, r, tmp_path, entry["id"], capsys)
         assert code == entry["expect"]["code"]
         assert hashlib.sha256(written).hexdigest() == entry["expect"]["sha256"]
-        if small_closure(g, r):
-            assert compare(g, r, tmp_path, entry["id"], capsys, full=True)[0] == code
-            full_runs += 1
     assert len(draws) == 19
-    assert full_runs >= 10
 
 
 @pytest.fixture
@@ -194,13 +169,12 @@ def calls(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("full", [False, True])
-def test_one_command_runs_the_pipeline_once(tmp_path, capsys, calls, full):
+def test_one_command_runs_the_pipeline_once(tmp_path, capsys, calls):
     g_path, r_path = tmp_path / "G.aut", tmp_path / "R.aut"
     save_automaton(diamond_g(), g_path)
     save_automaton(diamond_r(), r_path)
     argv = ["synthesize", str(g_path), str(r_path), "-o", str(tmp_path / "S.aut")]
-    assert run_command(argv + (["--full"] if full else [])) == 0
+    assert run_command(argv) == 0
     capsys.readouterr()
     # no family check, one context, and verification only once the
     # supervisor is written, so the two never hold memory together

@@ -49,7 +49,7 @@ from instances import (
     separator_instance,
     separator_product,
 )
-from oracles import f_step, isomorphic, named_is_admissible, reachable_part
+from oracles import f_step, isomorphic, named_is_admissible
 
 LADDER_UNIVERSE = (
     ("x0", "z0"),
@@ -285,17 +285,6 @@ def test_diamond_supervised_system_matches_expected_product():
     prod = sync_product(sup.automaton, g)
     assert prod.n_states == 5
     assert isomorphic(prod, expected_diamond_product())
-
-
-def test_full_supervisor_keeps_unreachable_members():
-    g, r = diamond_g(), diamond_r()
-    e = PairSetFamily.over(g, r, DIAMOND_FAMILY)
-    sup = build_supervisor(e, reachable_only=False)
-    assert sup.automaton.n_states == 7
-    reachable = build_supervisor(e)
-    assert set(reachable.automaton.states) <= set(sup.automaton.states)
-    # trimming the full construction recovers exactly the reachable part
-    assert set(reachable_part(sup.automaton).states) == set(reachable.automaton.states)
 
 
 def test_build_supervisor_rejects_non_family():

@@ -41,11 +41,21 @@ from ccsynth import (
 from ccsynth import relations, synthesis
 from ccsynth.automata import Transitions
 from ccsynth.relations import product_admissibility
-from ccsynth.synthesis import _assemble_supervisor, _hitting_sets, family_fixpoint
+from ccsynth.synthesis import (
+    PairSetFamily,
+    _assemble_supervisor,
+    _hitting_sets,
+    family_fixpoint,
+)
 
 from helpers import random_alphabet, random_automaton
 from instances import diamond_g, diamond_r, scanner_g, scanner_r, scanner_s
-from oracles import named_is_admissible, named_subsupervisors, reachable_part
+from oracles import (
+    closure_supervisor,
+    named_is_admissible,
+    named_subsupervisors,
+    reachable_part,
+)
 
 # Two near-limit draws of the benchmark's ``synth`` pool (s016, s045).
 S016 = InstanceSpec(4, 5, 3, 0.34, 0.34, 0.31, 767223550)
@@ -72,17 +82,14 @@ def c08_sweep(count=60):
 
 
 def solvable_supervisors(pairs, max_edges=None):
-    """Supervisors assembled both ways; with ``max_edges``, only those
-    that small (two C08 draws have 56,626 and 136,690 edges)."""
+    """The assembled supervisor of each solvable pair; with ``max_edges``,
+    only those that small (two C08 draws have 56,626 and 136,690 edges)."""
     for g, r in pairs:
         fix = family_fixpoint(g, r)
         if fix.solvable():
-            for reachable_only in (True, False):
-                sup = _assemble_supervisor(
-                    fix.ctx, fix.antichain, reachable_only=reachable_only
-                )
-                if max_edges is None or len(sup.automaton.transitions) <= max_edges:
-                    yield g, r, fix, reachable_only, sup
+            sup = _assemble_supervisor(fix.ctx, fix.antichain)
+            if max_edges is None or len(sup.automaton.transitions) <= max_edges:
+                yield g, r, fix, sup
 
 
 # --- the transitions view -----------------------------------------------
@@ -200,7 +207,7 @@ def test_assembled_supervisors_and_products_behave_like_tuples():
     rng = random.Random(5)
     seen = 0
     pairs = [(diamond_g(), diamond_r())] + list(c08_sweep())
-    for g, _r, _fix, _reachable, sup in solvable_supervisors(pairs, max_edges=5_000):
+    for g, _r, _fix, sup in solvable_supervisors(pairs, max_edges=5_000):
         assert_behaves_like_tuple(sup.automaton, rng)
         assert_behaves_like_tuple(sync_product(sup.automaton, g), rng)
         seen += 1
@@ -215,8 +222,9 @@ def built_every_way():
     """(how, automaton) for each way the package builds an automaton."""
     g, r = diamond_g(), diamond_r()
     fix = family_fixpoint(g, r)
-    sup = _assemble_supervisor(fix.ctx, fix.antichain, reachable_only=True)
-    full = _assemble_supervisor(fix.ctx, fix.antichain, reachable_only=False)
+    sup = _assemble_supervisor(fix.ctx, fix.antichain)
+    e = PairSetFamily(fix.ctx.universe, frozenset(fix.antichain))
+    full = closure_supervisor(e, g, r, reachable_only=False)
     named = [("q", "b", "p"), ["p", "a", "q"], ("p", "a", "q")]
     yield "make_automaton", make_automaton(("a", "b"), ("p", "q"), named, ("p",))
     yield "Automaton", Automaton(r.alphabet, r.states, r.transitions[::-1], r.initial)
@@ -234,7 +242,7 @@ def built_every_way():
         yield f"enumerate_subsupervisors {i}", mutant
     yield "sync_product", product
     yield "assembly", sup.automaton
-    yield "assembly full", full.automaton
+    yield "closure_supervisor full", full.automaton
     yield "synthesize", synthesize(g, r).supervisor.automaton
 
 
@@ -255,10 +263,10 @@ def test_subsupervisors_match_the_named_enumeration():
     pairs = [(diamond_g(), diamond_r()), (scanner_g(()), scanner_r(()))]
     pairs += list(c08_sweep())
     sizes = Counter()
-    for _g, _r, _fix, _reachable, sup in solvable_supervisors(pairs):
+    for _g, _r, _fix, sup in solvable_supervisors(pairs):
         edges = len(sup.automaton.transitions)
-        # The oracle copies every edge per variant, so the large
-        # supervisors (5,698 to 156,991 edges) get few variants.  Past
+        # The oracle copies every edge per variant, so the two large
+        # supervisors (56,626 and 136,690 edges) get few variants.  Past
         # 2**edges - 1 the enumeration runs out of deletion masks.
         limits = (0, 1, 6 if edges > 5_000 else 40)
         for limit in limits + ((1 << edges) + 2,) * (edges <= 8):
@@ -297,11 +305,11 @@ def assert_assembly_matches_edge_targets(fix, sup):
 def test_memoized_assembly_matches_edge_targets():
     pairs = [(diamond_g(), diamond_r())] + list(c08_sweep())
     pairs += [random_instance(S016), random_instance(S045)]
-    kinds = Counter()
-    for _g, _r, fix, reachable_only, sup in solvable_supervisors(pairs):
+    checked = 0
+    for _g, _r, fix, sup in solvable_supervisors(pairs):
         assert_assembly_matches_edge_targets(fix, sup)
-        kinds[reachable_only] += 1
-    assert kinds[True] == kinds[False] >= 10
+        checked += 1
+    assert checked >= 10
 
 
 # --- admissibility read off the product --------------------------------------
@@ -312,10 +320,9 @@ def small_mutants(count=40):
     the worked examples and the C08 sweep, with their plants."""
     pairs = [(diamond_g(), diamond_r()), (scanner_g(()), scanner_r(()))]
     pairs += list(c08_sweep())
-    for g, r, _fix, reachable_only, sup in solvable_supervisors(pairs, 5_000):
-        if reachable_only:
-            for mutant in enumerate_subsupervisors(sup, count):
-                yield mutant, g, r
+    for g, r, _fix, sup in solvable_supervisors(pairs, 5_000):
+        for mutant in enumerate_subsupervisors(sup, count):
+            yield mutant, g, r
 
 
 def test_product_admissibility_matches_is_admissible_on_mutants():
@@ -380,7 +387,7 @@ def test_passing_verification_names_no_relation(monkeypatch):
     calls = count_named_checks(monkeypatch)
     pairs = [(diamond_g(), diamond_r())] + list(c08_sweep(20))
     checked = 0
-    for g, r, _fix, _reachable, sup in solvable_supervisors(pairs):
+    for g, r, _fix, sup in solvable_supervisors(pairs):
         calls.clear()
         assert verify_solution(sup.automaton, g, r).overall
         assert calls == Counter(sync_product=1, refine=1, from_rows=1)
@@ -447,7 +454,7 @@ def test_failing_witnessed_verification_makes_the_witness_free_calls(monkeypatch
     calls = count_named_checks(monkeypatch)
     mutants = (
         (mutant, g, r, sup)
-        for g, r, _fix, _reachable, sup in solvable_supervisors(c08_sweep(), 5_000)
+        for g, r, _fix, sup in solvable_supervisors(c08_sweep(), 5_000)
         for mutant in enumerate_subsupervisors(sup, 40)
     )
     for mutant, g, r, sup in mutants:
@@ -472,7 +479,7 @@ NAMED_PEAK_MB = 24.3
 def test_verification_and_save_use_under_half_the_named_peak():
     g, r = random_instance(R9)
     fix = family_fixpoint(g, r)
-    sup = _assemble_supervisor(fix.ctx, fix.antichain, reachable_only=True).automaton
+    sup = _assemble_supervisor(fix.ctx, fix.antichain).automaton
     assert (sup.n_states, len(sup.transitions)) == (535, 37_812)
     with tempfile.TemporaryDirectory() as tmp:
         tracemalloc.start()

@@ -103,14 +103,14 @@ def test_every_synthesized_witness_passes_without_a_fallback(monkeypatch):
     calls = count_refine(monkeypatch)
     pairs = WORKED + list(c08_sweep())
     pairs += [random_instance(spec) for spec in (R9, S016, S045)]
-    modes = Counter()
-    for g, r, _fix, reachable_only, sup in solvable_supervisors(pairs):
+    checked = 0
+    for g, r, _fix, sup in solvable_supervisors(pairs):
         calls.clear()
         got = verify_solution(sup.automaton, g, r, witness=sup.members)
         assert got.overall and calls["refine"] == 0
         assert got == verify_solution(sup.automaton, g, r)
-        modes[reachable_only] += 1
-    assert modes[True] == modes[False] >= 25
+        checked += 1
+    assert checked >= 25
 
 
 def test_a_wrong_witness_falls_back_to_the_refinement(monkeypatch):
@@ -133,9 +133,7 @@ def test_subsupervisor_mutants_with_the_parent_witness(monkeypatch):
     pairs = [(diamond_g(), diamond_r()), (scanner_g(()), scanner_r(()))]
     pairs += list(c08_sweep())
     seen = Counter()
-    for g, r, _fix, reachable_only, sup in solvable_supervisors(pairs, 5_000):
-        if not reachable_only:
-            continue
+    for g, r, _fix, sup in solvable_supervisors(pairs, 5_000):
         for mutant in enumerate_subsupervisors(sup, 40):
             calls.clear()
             rep = assert_same_report(mutant, g, r, sup.members)
@@ -165,7 +163,7 @@ def test_a_perturbed_witness_gives_the_witness_free_report(monkeypatch):
     rng = random.Random(7)
     pairs = WORKED + list(c08_sweep())
     fallbacks = Counter()
-    for g, r, _fix, _reachable_only, sup in solvable_supervisors(pairs, 5_000):
+    for g, r, _fix, sup in solvable_supervisors(pairs, 5_000):
         for witness in perturbed(sup, g, r, rng):
             calls.clear()
             assert assert_same_report(sup.automaton, g, r, witness).overall
