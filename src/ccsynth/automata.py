@@ -67,12 +67,6 @@ class Alphabet:
     def controllable(self) -> frozenset[str]:
         return frozenset(self.events) - self.uncontrollable
 
-    def index(self, event: str) -> int:
-        try:
-            return self._event_index[event]
-        except KeyError:
-            raise UnknownEvent(f"event {event!r} not in alphabet") from None
-
     @cached_property
     def _event_index(self) -> dict[str, int]:
         return {e: i for i, e in enumerate(self.events)}

@@ -150,15 +150,11 @@ def export_dot(a: Automaton) -> str:
 def load_automaton(path: str | Path) -> Automaton:
     """Parse the UTF-8 file at ``path``, skipping a byte-order mark."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError:
-        try:  # again, whole: the text reader's error counts from its chunk
-            Path(path).read_bytes().decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            lines = (exc.object[: exc.start].decode() + "\0").splitlines()
-            bad = f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}"
-            raise ParseError(len(lines), len(lines[-1]), bad) from None
-        raise
+        text = Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        lines = (exc.object[: exc.start].decode() + "\0").splitlines()
+        bad = f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}"
+        raise ParseError(len(lines), len(lines[-1]), bad) from None
     return parse_automaton(text)
 
 

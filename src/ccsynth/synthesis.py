@@ -381,8 +381,8 @@ def solvability_counterexample(fix: _FamilyFixpoint) -> Counterexample | None:
 
     If some initial plant state has every initial pairing eliminated from
     the pair universe, the relation-level deletion cascade names the
-    clause that killed it; otherwise the failure is the family-level
-    istate condition.
+    clause that killed it.  Otherwise no antichain member meets every
+    istate mask, and the first plant state at which none is left is named.
     """
     if fix.solvable():
         return None
@@ -400,7 +400,6 @@ def solvability_counterexample(fix: _FamilyFixpoint) -> Counterexample | None:
                 left=x0,
                 note="every family member pairing it fails the fixpoint conditions",
             )
-    return None
 
 
 @dataclass(frozen=True)
@@ -493,8 +492,6 @@ def _assemble_supervisor(ctx: _FamilyContext, chain: list[int]) -> SupervisorAut
     # state's pairs with initial specification states (the istate
     # condition), inside those pairs.
     initial = _hitting_sets(chain, ctx.istate_masks)
-    if not initial:
-        raise NotAFamily("no member realizes the initial condition")
     family = PairSetFamily(ctx.universe, frozenset(chain))
     events = ctx.g.alphabet.events
     order = list(initial)

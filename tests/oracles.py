@@ -7,13 +7,14 @@ transitions, products, admissibility and uniformity over named
 states, file parsing by the character-by-character tokenizer, family
 obligation masks by named successor lookups, the filtering step and
 the family check member by member, the antichain pass scanning pairs
-before events, supervisors by assembly over the materialized closure,
-supervisor variants by filtering named transitions, language inclusion
-by a subset construction, up to a bound or exhaustively, admissibility
-at trace level by a subset construction, the states one string reaches
-and the reachable part of an automaton, small supervisors by
-enumeration, and automaton isomorphism by backtracking.  None of them
-ships with the package.
+before events, the universe pairs a common string reaches by a
+breadth-first search, supervisors by assembly over the materialized
+closure, supervisor variants by filtering named transitions, language
+inclusion by a subset construction, up to a bound or exhaustively,
+admissibility at trace level by a subset construction, the states one
+string reaches and the reachable part of an automaton, small
+supervisors by enumeration, and automaton isomorphism by backtracking.
+None of them ships with the package.
 """
 
 from __future__ import annotations
@@ -646,6 +647,26 @@ def reference_fixpoint(g: Automaton, r: Automaton) -> tuple[list[int], int]:
         if nxt == chain:
             return chain, iterations
         chain = nxt
+
+
+def reachable_universe_pairs(universe: PairRelation) -> frozenset[tuple[str, str]]:
+    """The pairs of ``universe`` that a common string reaches from an
+    initial-by-initial pair of it while staying inside it, by
+    breadth-first search over named pairs: each step follows a plant
+    move and a specification move on the same event."""
+    g, r = universe.left, universe.right
+    start = [(x0, z0) for x0 in g.initial for z0 in r.initial if (x0, z0) in universe]
+    seen = set(start)
+    queue = deque(start)
+    while queue:
+        x, z = queue.popleft()
+        for ev in g.alphabet.events:
+            for x1 in g.successors(x, ev):
+                for z1 in r.successors(z, ev):
+                    if (x1, z1) in universe and (x1, z1) not in seen:
+                        seen.add((x1, z1))
+                        queue.append((x1, z1))
+    return frozenset(seen)
 
 
 def f_step(e: PairSetFamily, g: Automaton, r: Automaton) -> PairSetFamily:

@@ -10,6 +10,7 @@ from ccsynth import (
     EmptyInitialSet,
     UnknownEvent,
     UnknownState,
+    ValidationError,
     is_deterministic,
     make_automaton,
     sync_product,
@@ -90,6 +91,8 @@ SINGLE_FAULTS = [
         DuplicateStateId,
         "state id 's' declared twice",
     ),
+    # An empty initial set is named before an undeclared transition target.
+    (("s",), [("s", "a", "t")], (), EmptyInitialSet, "initial state set is empty"),
 ]
 
 
@@ -103,6 +106,23 @@ def test_single_faults_raise_at_construction(
     assert str(exc.value) == message
     with pytest.raises(error) as exc:
         make_automaton(alphabet.events, states, iter(transitions), initial)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "events, uncontrollable, required, error, message",
+    [
+        (("a", "b", "a"), (), (), ValidationError, "duplicate event name 'a'"),
+        (("a",), ("u",), (), UnknownEvent, "uncontrollable event 'u' not in alphabet"),
+        (("a",), (), ("q",), UnknownEvent, "required event 'q' not in alphabet"),
+    ],
+)
+def test_alphabet_faults_raise_at_construction(
+    events, uncontrollable, required, error, message
+):
+    with pytest.raises(error) as exc:
+        Alphabet(events, uncontrollable, required)
+    assert type(exc.value) is error
     assert str(exc.value) == message
 
 
@@ -121,6 +141,9 @@ def test_transitions_normalized():
         ("p",),
     )
     assert a.transitions == (("p", "a", "q"), ("p", "b", "q"), ("q", "a", "p"))
+    assert repr(a.transitions) == (
+        "(('p', 'a', 'q'), ('p', 'b', 'q'), ('q', 'a', 'p'))"
+    )
 
 
 # --- sync_product ----------------------------------------------------

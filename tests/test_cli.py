@@ -167,6 +167,14 @@ def test_parse_error_is_usage_error(tmp_path):
     assert run_command(["solvable", str(bad), str(bad)]) == 2
 
 
+@pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"])
+def test_truncated_byte_order_mark_is_an_invalid_byte(tmp_path, files, capsys, data):
+    bad = tmp_path / "bad.aut"
+    bad.write_bytes(data)
+    assert run_command(["solvable", str(bad), files["R"]]) == 2
+    assert capsys.readouterr().err == "error: 1:1: invalid UTF-8 byte 0xef\n"
+
+
 def test_unknown_subcommand_exit_two():
     assert run_command(["frobnicate"]) == 2
 

@@ -135,6 +135,9 @@ def test_context_rejects_pairs_outside_the_automata():
     for universe in (tuple(pairs), frozenset(pairs), list(pairs), None):
         with pytest.raises(UniverseMismatch, match="^universe must be a relation"):
             PairSetFamily(universe, frozenset())
+    # A member is a mask over the relation's pairs, and no wider.
+    with pytest.raises(UniverseMismatch, match="^member mask exceeds the universe$"):
+        PairSetFamily(pairs, {1 << len(pairs)})
 
 
 def test_good_mask_agrees_with_per_pair_check():

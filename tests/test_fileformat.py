@@ -167,9 +167,11 @@ def test_byte_order_mark_is_skipped_on_load_and_never_written(tmp_path):
         (b"\xef\xbb\xbfevent a\r\nstate \xc3", (2, 7, 0xC3)),
         (b"event a\rstate s initial\r\x80", (3, 1, 0x80)),
         ("event \u00e9\u2028\x85state s\x0c".encode() + b"\xed\xa0\x80", (4, 1, 0xED)),
-        # Past the text reader's first chunk, whose error counts from the
-        # chunk rather than from the file.
+        # Far into the file: the place counts from the file's first byte.
         (b"# pad\n" * 3000 + b"event a \xfe\n", (3001, 9, 0xFE)),
+        # A truncated byte-order mark is undecodable, not an empty file.
+        (b"\xef", (1, 1, 0xEF)),
+        (b"\xef\xbb", (1, 1, 0xEF)),
     ],
 )
 def test_undecodable_byte_is_a_parse_error_at_its_place(tmp_path, data, where):

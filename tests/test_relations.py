@@ -6,6 +6,7 @@ import pytest
 
 from ccsynth import (
     AlphabetMismatch,
+    Counterexample,
     InstanceSpec,
     PairRelation,
     RelationKind,
@@ -109,6 +110,10 @@ def test_ladder_ucr_relation_frozen_value():
     assert out == LADDER_UCR_RELATION
     # the hand-built witness must be contained in the greatest relation
     assert {("x0", "z0"), ("x1", "z1"), ("x3", "z2")} <= out
+    assert repr(out) == (
+        "PairRelation([('x0', 'z0'), ('x0', 'z2'), ('x1', 'z1'), ('x2', 'z2'), "
+        "('x3', 'z2')])"
+    )
 
 
 def test_greatest_relation_contains_identity_on_same_automaton():
@@ -217,6 +222,21 @@ def test_simulation_wrt_restricted_events():
     ok_a, _ = holds(a, b, RelationKind(frozenset({"a"})))
     assert not ok_full
     assert ok_a
+
+
+def test_unknown_kind_name_and_foreign_kind_event_raise():
+    g = ladder_g()
+    with pytest.raises(ValueError, match="^unknown relation kind 'nope'$"):
+        RelationKind.named("nope", g.alphabet)
+    with pytest.raises(
+        UniverseMismatch, match="^kind references event 'zz' outside the alphabet$"
+    ):
+        relations.refine(g, g, RelationKind(frozenset({"zz"})))
+
+
+def test_counterexample_of_another_kind_names_its_pair():
+    cx = Counterexample(kind="other", left="a", right="b")
+    assert cx.describe() == "other clause fails at (a, b)"
 
 
 # --- admissibility -------------------------------------------------------
