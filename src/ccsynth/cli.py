@@ -10,6 +10,7 @@ the report to one machine-readable object of the shape
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -45,13 +46,11 @@ def _cap() -> int:
     raw = os.environ.get("CCSYNTH_CAP")
     if raw is None:
         return DEFAULT_UNIVERSE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = None
-    if cap is None or cap < 0:
-        raise CcsynthError(f"CCSYNTH_CAP must be a nonnegative integer, got {raw!r}")
-    return cap
+    if raw.isascii() and raw.isdigit():
+        # int() refuses numerals longer than the interpreter's digit limit.
+        with contextlib.suppress(ValueError):
+            return int(raw)
+    raise CcsynthError(f"CCSYNTH_CAP must be a nonnegative integer, got {raw!r}")
 
 
 def _load(*paths: str) -> list[Automaton]:

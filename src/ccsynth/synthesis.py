@@ -332,11 +332,6 @@ class _FamilyFixpoint:
         # holds for some member iff it holds for some maximal member.
         return any(self.ctx.istate(m) for m in self.antichain)
 
-    def materialize(self) -> PairSetFamily:
-        return downward_closure(
-            PairSetFamily(self.ctx.universe, frozenset(self.antichain))
-        )
-
 
 def family_fixpoint(
     g: Automaton, r: Automaton, cap: int | None = None
@@ -368,7 +363,8 @@ def greatest_family(
     g: Automaton, r: Automaton, cap: int | None = None
 ) -> PairSetFamily:
     """The greatest fixpoint, materialized member by member."""
-    return family_fixpoint(g, r, cap).materialize()
+    fix = family_fixpoint(g, r, cap)
+    return downward_closure(PairSetFamily(fix.ctx.universe, frozenset(fix.antichain)))
 
 
 def is_solvable(g: Automaton, r: Automaton, cap: int | None = None) -> bool:
@@ -382,7 +378,9 @@ def solvability_counterexample(fix: _FamilyFixpoint) -> Counterexample | None:
     If some initial plant state has every initial pairing eliminated from
     the pair universe, the relation-level deletion cascade names the
     clause that killed it.  Otherwise no antichain member meets every
-    istate mask, and the first plant state at which none is left is named.
+    istate mask, and the first plant state at which none is left is named:
+    either no member pairs it with an initial specification state, or
+    none does so together with the initial plant states before it.
     """
     if fix.solvable():
         return None
@@ -390,16 +388,18 @@ def solvability_counterexample(fix: _FamilyFixpoint) -> Counterexample | None:
     hit = unpaired_initial(res.alive)
     if hit:
         return initial_cascade(res, hit, "no admissible pairing for initial state")
+    initial = fix.ctx.g.initial
     remaining = list(fix.antichain)
-    for x0idx, x0 in enumerate(fix.ctx.g.initial):
+    for x0idx, x0 in enumerate(initial):
         mask = fix.ctx.istate_masks[x0idx]
         remaining = [m for m in remaining if m & mask]
         if not remaining:
-            return Counterexample(
-                kind=ISTATE,
-                left=x0,
-                note="every family member pairing it fails the fixpoint conditions",
-            )
+            if any(m & mask for m in fix.antichain):
+                earlier = ", ".join(initial[:x0idx])
+                note = f"no family member pairs it together with {earlier}"
+            else:
+                note = "every family member pairing it fails the fixpoint conditions"
+            return Counterexample(kind=ISTATE, left=x0, note=note)
 
 
 @dataclass(frozen=True)
@@ -427,7 +427,9 @@ class VerificationReport:
 @dataclass(frozen=True)
 class SynthesisOutcome:
     """What ``synthesize`` found: the fixpoint the verdict rests on and,
-    when solvable, the supervisor and its verification report."""
+    when solvable, the supervisor, verified lazily through ``report``.
+    The fixpoint is kept as its antichain; ``greatest_family`` builds
+    the downward closure."""
 
     fixpoint: _FamilyFixpoint
     supervisor: SupervisorAutomaton | None = None
@@ -435,11 +437,6 @@ class SynthesisOutcome:
     @property
     def solvable(self) -> bool:
         return self.supervisor is not None
-
-    @cached_property
-    def family(self) -> PairSetFamily:
-        """The greatest fixpoint, materialized on first read."""
-        return self.fixpoint.materialize()
 
     @cached_property
     def report(self) -> VerificationReport | None:
@@ -649,11 +646,10 @@ def synthesize(g: Automaton, r: Automaton, cap: int | None = None) -> SynthesisO
     When solvable, the supervisor built from the greatest fixpoint
     simulates every other solution's supervised behavior; the outcome's
     ``report`` re-verifies it through the independent membership test
-    when it is read.  The outcome keeps the fixpoint's antichain; its
-    downward closure is built only when ``family`` is read.  The
-    supervisor is the reachable part, as in ``build_supervisor``.  The
-    fixpoint is a controllability family by construction, so it is
-    assembled without a family check.
+    when it is read.  The outcome keeps the fixpoint's antichain and
+    builds no downward closure.  The supervisor is the reachable part,
+    as in ``build_supervisor``.  The fixpoint is a controllability
+    family by construction, so it is assembled without a family check.
     """
     fix = family_fixpoint(g, r, cap)
     if not fix.solvable():

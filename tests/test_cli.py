@@ -191,6 +191,13 @@ def test_cap_env_var_must_be_integer(files, monkeypatch, capsys):
     monkeypatch.setenv("CCSYNTH_CAP", "lots")
     assert run_command(["solvable", files["dG"], files["dR"]]) == 2
     assert "CCSYNTH_CAP" in capsys.readouterr().err
+    # The cap takes ASCII digits only: int() reads each of the first four
+    # as a number, and refuses the last, which is past its digit limit.
+    for raw in ("1_0", "٣", " 3", "+3", "9" * 5000):
+        monkeypatch.setenv("CCSYNTH_CAP", raw)
+        assert run_command(["solvable", files["dG"], files["dR"]]) == 2
+        err = capsys.readouterr().err
+        assert f"CCSYNTH_CAP must be a nonnegative integer, got {raw!r}" in err
 
 
 def test_cap_env_var_must_be_nonnegative(files, monkeypatch, capsys):

@@ -168,7 +168,7 @@ def test_every_extracted_family_lies_inside_fixpoint():
             continue
         fam = extract_family(out.supervisor.automaton, g, r)
         assert is_controllability_family(fam)
-        top = out.family
+        top = greatest_family(g, r)
         index = {p: i for i, p in enumerate(top.universe)}
         assert set(fam.universe) <= set(top.universe)
         for member in fam.member_sets():

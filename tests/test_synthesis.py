@@ -1,3 +1,6 @@
+from dataclasses import replace
+from random import Random
+
 import pytest
 
 from ccsynth import (
@@ -221,6 +224,37 @@ def test_solvability_counterexample_family_level_on_ladder():
     # the pairing exists in the universe; the family fixpoint kills it
     assert cx.kind == "istate"
     assert cx.left == "x0"
+
+
+def test_istate_counterexample_names_a_joint_failure():
+    spec = InstanceSpec(
+        5, 4, 2, 0.5091781701648932, 0.8259067882174111, 0.16063836842403972, 8634
+    )
+    fix = family_fixpoint(*random_instance(spec))
+    assert fix.ctx.g.initial == ("x0", "x2")
+    # Some member pairs x2 with an initial specification state, but none
+    # pairs x0 and x2 together.
+    x0_mask, x2_mask = fix.ctx.istate_masks
+    assert any(m & x2_mask for m in fix.antichain)
+    assert not any(m & x0_mask and m & x2_mask for m in fix.antichain)
+    cx = solvability_counterexample(fix)
+    assert (cx.kind, cx.left) == ("istate", "x2")
+    assert cx.note == "no family member pairs it together with x0"
+
+
+def test_istate_counterexample_names_a_state_no_member_pairs():
+    spec = InstanceSpec(
+        3, 2, 2, 0.2747780141262147, 0.44245094403501006, 0.3645433756321331, 2513
+    )
+    fix = family_fixpoint(*random_instance(spec))
+    assert fix.ctx.g.initial == ("x0", "x2")
+    # A member pairs x0; none pairs x2 with an initial specification state.
+    x0_mask, x2_mask = fix.ctx.istate_masks
+    assert any(m & x0_mask for m in fix.antichain)
+    assert not any(m & x2_mask for m in fix.antichain)
+    cx = solvability_counterexample(fix)
+    assert (cx.kind, cx.left) == ("istate", "x2")
+    assert cx.note == "every family member pairing it fails the fixpoint conditions"
 
 
 def test_cap_exceeded_reports_universe_size():
@@ -467,6 +501,42 @@ def test_bisimilarity_refuses_mismatched_attributes():
 def test_bisimilarity_refuses_other_event_names():
     with pytest.raises(AlphabetMismatch):
         bisimilarity_solvable(loops(("a", "b")), loops(("a", "c")))
+
+
+def test_bisimilarity_solvable_matches_the_synthesized_supervisor():
+    # With every event required, an instance is bisimilarity-solvable
+    # iff it is solvable and the supervised plant is bisimilar to the
+    # specification.
+    verdicts, partial_cores = [], 0
+    for seed in range(300):
+        rng = Random(seed)
+        spec = InstanceSpec(
+            rng.randint(1, 3),
+            rng.randint(1, 3),
+            rng.randint(1, 2),
+            rng.random(),
+            rng.random(),
+            0.15 + 0.5 * rng.random(),
+            seed,
+        )
+        g, r = random_instance(spec)
+        forced = replace(g.alphabet, required=frozenset(g.alphabet.events))
+        g2 = replace(g, alphabet=forced, pair_of=None)
+        r2 = replace(r, alphabet=forced, pair_of=None)
+        out = synthesize(g2, r2, cap=9)
+        expected = out.solvable and holds(
+            sync_product(out.supervisor.automaton, g2), r2, RelationKind.bisimulation(forced)
+        )[0]
+        assert bisimilarity_solvable(g, r, cap=9) == expected, spec
+        verdicts.append(expected)
+        # Solvable draws with an antichain member whose initial-by-initial
+        # core misses some initial plant state.
+        ctx = out.fixpoint.ctx
+        partial_cores += out.solvable and any(
+            not ctx.istate(m & ctx.initial_mask) for m in out.fixpoint.antichain
+        )
+    assert sum(verdicts) == 129
+    assert partial_cores == 17
 
 
 # --- state ids holding separators ------------------------------------------
