@@ -13,7 +13,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import (
     AlphabetMismatch,
@@ -290,10 +290,7 @@ def _named_table(a: Automaton, transitions: Iterable) -> list:
 def require_tokens(what: str, names: Sequence[str]) -> None:
     """Raise ``ValidationError`` for the first name that a file line
     would not read back as one token: empty, or holding whitespace or
-    ``#``.  One test over the joined names decides the common case."""
-    joined = "".join(names)
-    if all(names) and joined.split() == [joined] and "#" not in joined:
-        return
+    ``#``."""
     for name in names:
         if name.split() != [name] or "#" in name:
             raise ValidationError(f"{what} name {name!r} is not one file token")
@@ -334,10 +331,16 @@ def product_state_id(left: str, right: str) -> str:
     return f"({left},{right})"
 
 
-def escaped(names: Iterable[str]) -> list[str]:
-    """Each name with ``\\``, ``,`` and ``:`` escaped by a backslash, so
-    ids joined from escaped names with those separators never collide."""
-    return [n.translate(_ESCAPES) for n in names]
+def distinct_ids(make: Callable[[Callable], list[str]]) -> list[str]:
+    """The ids ``make(name)`` builds, with every component name passed
+    through ``name``: first as the names are, and only if two of those
+    ids coincide, again with ``\\``, ``,`` and ``:`` escaped by a
+    backslash.  So ids never collide, and ids that collide nowhere are
+    never escaped."""
+    ids = make(str)
+    if len(set(ids)) < len(ids):
+        ids = make(operator.methodcaller("translate", _ESCAPES))
+    return ids
 
 
 def product_walk(left, right, n_right: int, order: list[int], table=None):
@@ -381,9 +384,8 @@ def sync_product(s: Automaton, g: Automaton) -> Automaton:
 
     Runs ``product_walk`` on integer pair codes ``y * |g| + x``.  States
     are numbered in discovery order, and the walk fills the product's
-    successor table directly, so no named transition is built.  If two
-    states would share an id, every id is built from ``escaped``
-    component names instead.
+    successor table directly, so no named transition is built.  State
+    ids come from ``distinct_ids``, escaped only where two would collide.
     """
     require_same_alphabet(s, g)
     ng = g.n_states
@@ -394,10 +396,9 @@ def sync_product(s: Automaton, g: Automaton) -> Automaton:
     for _ in product_walk(s.successor_table, g.successor_table, ng, order, table):
         pass
     pairs = [ProductState(s.states[p // ng], g.states[p % ng]) for p in order]
-    names = [product_state_id(*pair) for pair in pairs]
-    if len(set(names)) < len(names):
-        ys, xs = escaped(s.states), escaped(g.states)
-        names = [product_state_id(ys[p // ng], xs[p % ng]) for p in order]
+    names = distinct_ids(
+        lambda name: [product_state_id(name(y), name(x)) for y, x in pairs]
+    )
     return Automaton.from_table(
         s.alphabet, names, table, names[:n_roots], pair_of=dict(zip(names, pairs))
     )

@@ -38,7 +38,7 @@ from operator import or_
 # ``is_admissible``, unused here), so every imported name stays bound.
 from .automata import (
     Automaton,
-    escaped,
+    distinct_ids,
     is_deterministic,
     require_same_alphabet,
     sync_product,
@@ -456,8 +456,9 @@ class SynthesisOutcome:
         return verify_solution(sup.automaton, ctx.g, ctx.r, witness=sup.members)
 
 
-def member_state_id(pairs) -> str:
-    return "W{" + ",".join(f"{x}:{z}" for x, z in pairs) + "}"
+def member_state_id(pairs, name=str) -> str:
+    """``W{x:z,...}`` for the member's pairs, each name passed through ``name``."""
+    return "W{" + ",".join([f"{name(x)}:{name(z)}" for x, z in pairs]) + "}"
 
 
 def _hitting_sets(chain: list[int], obs) -> list[int]:
@@ -516,11 +517,7 @@ def _assemble_supervisor(ctx: _FamilyContext, chain: list[int]) -> SupervisorAut
             table[k].append(targets)
         i += 1
     pairs = [family.pairs_of(w) for w in order]
-    names = [member_state_id(p) for p in pairs]
-    if len(set(names)) < len(names):
-        # Some state name holds a separator: escape every one, once.
-        xs, zs = (dict(zip(a.states, escaped(a.states))) for a in (ctx.g, ctx.r))
-        names = [member_state_id((xs[x], zs[z]) for x, z in p) for p in pairs]
+    names = distinct_ids(lambda name: [member_state_id(p, name) for p in pairs])
     aut = Automaton.from_table(
         ctx.g.alphabet, names, table, [names[position[w]] for w in initial]
     )

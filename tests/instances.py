@@ -198,12 +198,12 @@ FORKED_FAMILY = (
 )
 
 
-def separator_instance() -> tuple[Automaton, Automaton]:
+def separator_instance(name: str = "z0,x1:z1") -> tuple[Automaton, Automaton]:
     """``InstanceSpec(3, 3, 2, seed=9)`` with specification state z2
-    renamed ``z0,x1:z1``: the supervisor members {(x1, z0), (x1, z1)} and
-    {(x1, z0,x1:z1)} both join to ``W{x1:z0,x1:z1}``."""
+    renamed ``name``.  By default the supervisor members {(x1, z0), (x1, z1)}
+    and {(x1, z0,x1:z1)} both join to ``W{x1:z0,x1:z1}``."""
     g, r = random_instance(InstanceSpec(3, 3, 2, seed=9))
-    names = ["z0,x1:z1" if z == "z2" else z for z in r.states]
+    names = [name if z == "z2" else z for z in r.states]
     return g, Automaton.from_table(r.alphabet, names, r.successor_table, r.initial)
 
 

@@ -8,12 +8,14 @@ states, file parsing by the character-by-character tokenizer, family
 obligation masks by named successor lookups, the filtering step and
 the family check member by member, the antichain pass scanning pairs
 before events, the universe pairs a common string reaches by a
-breadth-first search, supervisors by assembly over the materialized
-closure, supervisor variants by filtering named transitions, language
-inclusion by a subset construction, up to a bound or exhaustively,
-admissibility at trace level by a subset construction, the states one
-string reaches and the reachable part of an automaton, small
-supervisors by enumeration, and automaton isomorphism by backtracking.
+breadth-first search, the plant states S‖G pairs with each supervisor
+state by a worklist over supervisor states, supervisors by assembly
+over the materialized closure, supervisor variants by filtering named
+transitions, language inclusion by a subset construction, up to a
+bound or exhaustively, admissibility at trace level by a subset
+construction, the states one string reaches and the reachable part of
+an automaton, small supervisors by enumeration, and automaton
+isomorphism by backtracking.
 None of them ships with the package.
 """
 
@@ -667,6 +669,32 @@ def reachable_universe_pairs(universe: PairRelation) -> frozenset[tuple[str, str
                         seen.add((x1, z1))
                         queue.append((x1, z1))
     return frozenset(seen)
+
+
+def plant_masks(s: Automaton, g: Automaton) -> dict[str, int]:
+    """X_y for each state y of the supervisor ``s``: the bit mask of the
+    plant states x (bit i for ``g.states[i]``) that S‖G pairs with y.
+
+    The masks are the least that hold every initial pair and are closed
+    under: x in X_y, y --e--> y1 and x --e--> x1 give x1 in X_y1.  Found
+    by a worklist of supervisor states that follows named successors; no
+    product is built.
+    """
+    require_same_alphabet(s, g)
+    masks = dict.fromkeys(s.states, 0)
+    for y in s.initial:
+        masks[y] = sum(1 << g.state_index[x] for x in g.initial)
+    queue = deque(s.initial)
+    while queue:
+        y = queue.popleft()
+        xs = [x for i, x in enumerate(g.states) if masks[y] >> i & 1]
+        for ev in s.alphabet.events:
+            image = sum({1 << g.state_index[x1] for x in xs for x1 in g.successors(x, ev)})
+            for y1 in s.successors(y, ev):
+                if image & ~masks[y1]:
+                    masks[y1] |= image
+                    queue.append(y1)
+    return masks
 
 
 def f_step(e: PairSetFamily, g: Automaton, r: Automaton) -> PairSetFamily:

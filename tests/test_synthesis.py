@@ -570,3 +570,22 @@ def test_colliding_product_ids_are_escaped():
     # Without a collision, product ids stay unescaped.
     diamond = sync_product(diamond_g(), diamond_g())
     assert all(name == f"({p.left},{p.right})" for name, p in diamond.pair_of.items())
+
+
+def test_separator_member_ids_that_collide_nowhere_stay_unescaped():
+    g, r = separator_instance("z2:\\")
+    out = synthesize(g, r)
+    plain = synthesize(*random_instance(InstanceSpec(3, 3, 2, seed=9))).supervisor
+    assert out.supervisor.automaton.states == tuple(
+        name.replace("z2", "z2:\\") for name in plain.automaton.states
+    )
+    assert out.supervisor.members["W{x1:z2:\\}"] == (("x1", "z2:\\"),)
+    assert out.report.overall
+
+
+def test_separator_product_ids_that_collide_nowhere_stay_unescaped():
+    s = make_automaton(("e",), ("a,b", "c"), (("a,b", "e", "c"), ("c", "e", "a,b")), ("a,b",))
+    g = make_automaton(("e",), ("a", "b:\\"), (("a", "e", "b:\\"), ("b:\\", "e", "a")), ("a",))
+    prod = sync_product(s, g)
+    assert prod.states == ("(a,b,a)", "(c,b:\\)")
+    assert prod.pair_of == {"(a,b,a)": ("a,b", "a"), "(c,b:\\)": ("c", "b:\\")}
