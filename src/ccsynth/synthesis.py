@@ -565,26 +565,22 @@ def extract_family(s: Automaton, g: Automaton, r: Automaton) -> PairSetFamily:
     return PairSetFamily.over(g, r, [frozenset(v) for v in theta.values()])
 
 
-def _witness_relation(
-    s: Automaton, g: Automaton, r: Automaton, prod: Automaton, witness
-) -> PairRelation | None:
+def _witness_relation(prod: Automaton, r: Automaton, witness) -> PairRelation:
     """Φ = {((y, x), z) : (x, z) ∈ witness[y]} over ``prod``'s states.
 
     ``prod`` is ``sync_product(s, g)``; each product state's row is read
     through ``prod.pair_of``.  A supervisor state the witness leaves out
-    gets empty rows.  None when the witness names a supervisor, plant or
-    specification state that ``s``, ``g`` or ``r`` does not declare.
+    gets empty rows.  A pair naming a specification state ``r`` does not
+    declare is skipped; one naming a supervisor or plant state that no
+    product state carries matches no row.
     """
-    si, gi, ri = s.state_index, g.state_index, r.state_index
+    ri = r.state_index
     # (supervisor state, plant state) -> its specification states' mask
     cols: dict[tuple[str, str], int] = {}
     for y, pairs in witness.items():
-        if y not in si:
-            return None
         for x, z in pairs:
-            if x not in gi or z not in ri:
-                return None
-            cols[y, x] = cols.get((y, x), 0) | 1 << ri[z]
+            if z in ri:
+                cols[y, x] = cols.get((y, x), 0) | 1 << ri[z]
     pair_of = prod.pair_of
     rows = [cols.get(pair_of[name], 0) for name in prod.states]
     return PairRelation.from_rows(prod, r, rows)
@@ -610,10 +606,10 @@ def verify_solution(
     rows (``clauses_hold``), and against its initial condition.  A
     relation that passes lies inside the greatest simulation, wherever
     it came from, so its pass proves the simulation and no refinement
-    runs.  A witness whose Φ is not a simulation fails these checks, so
-    a wrong witness can only cause a fallback to the refinement, never
-    a wrong "yes".  A witness naming undeclared states falls back too,
-    as does a call without a witness.
+    runs.  Pairs naming states Φ cannot place are skipped, as a Φ that
+    passes is a simulation whatever was skipped.  A witness whose Φ is
+    not a simulation fails these checks, so a wrong witness can only
+    cause a fallback to the refinement, never a wrong "yes".
 
     The refinement decides the simulation and names its counterexample
     off the deletion log.  Verdicts and counterexamples are those of
@@ -624,7 +620,7 @@ def verify_solution(
     prod = sync_product(s, g)
     kind = RelationKind.cc_simulation(r.alphabet)
     admissible, acx = product_admissibility(prod, g)
-    phi = None if witness is None else _witness_relation(s, g, r, prod, witness)
+    phi = None if witness is None else _witness_relation(prod, r, witness)
     if phi is not None and clauses_hold(phi, kind) and initial_condition(phi):
         ccx = None
     else:

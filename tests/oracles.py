@@ -9,7 +9,8 @@ obligation masks by named successor lookups, the filtering step and
 the family check member by member, the antichain pass scanning pairs
 before events, the universe pairs a common string reaches by a
 breadth-first search, the plant states S‖G pairs with each supervisor
-state by a worklist over supervisor states, supervisors by assembly
+state by a worklist over supervisor states, a witness's simulation
+clauses per supervisor state with no product, supervisors by assembly
 over the materialized closure, supervisor variants by filtering named
 transitions, language inclusion by a subset construction, up to a
 bound or exhaustively, admissibility at trace level by a subset
@@ -695,6 +696,59 @@ def plant_masks(s: Automaton, g: Automaton) -> dict[str, int]:
                     masks[y1] |= image
                     queue.append(y1)
     return masks
+
+
+def witness_holds_per_state(s: Automaton, g: Automaton, r: Automaton, witness) -> bool:
+    """Is Φ = {((y, x), z) : (x, z) ∈ witness[y]} a covariant-contravariant
+    simulation of S‖G by ``r`` that pairs each initial product state with
+    an initial specification state?  Read per supervisor state, with no
+    product.
+
+    W_y[x] is the mask of the specification states (bit i for
+    ``r.states[i]``) the witness pairs with x at y; a pair naming a
+    supervisor, plant or specification state that ``s``, ``g`` or ``r``
+    does not declare is skipped.  The clauses are checked at each x in
+    X_y (``plant_masks``) with W_y[x] nonempty, against the e-successors
+    y1 of y and x1 of x: forward, every z in W_y[x] has an e-move into
+    each W_y1[x1]; backward, for a required e, every e-successor of
+    W_y[x]'s states lies in the union of the W_y1[x1].
+    """
+    require_same_alphabet(s, g)
+    require_same_alphabet(g, r)
+    si, gi, ri = s.state_index, g.state_index, r.state_index
+    w = {y: [0] * g.n_states for y in s.states}
+    for y, pairs in witness.items():
+        for x, z in pairs:
+            if y in si and x in gi and z in ri:
+                w[y][gi[x]] |= 1 << ri[z]
+    r_initial = sum(1 << ri[z] for z in r.initial)
+    if any(not w[y0][gi[x0]] & r_initial for y0 in s.initial for x0 in g.initial):
+        return False
+    masks = plant_masks(s, g)
+    for ev in r.alphabet.events:
+        required = ev in r.alphabet.required
+        moves = [sum({1 << ri[z1] for z1 in r.successors(z, ev)}) for z in r.states]
+        for y in s.states:
+            for i, x in enumerate(g.states):
+                row = w[y][i]
+                if not (masks[y] >> i & 1 and row):
+                    continue
+                nexts = [
+                    w[y1][gi[x1]]
+                    for y1 in s.successors(y, ev)
+                    for x1 in g.successors(x, ev)
+                ]
+                union = 0
+                for n in nexts:
+                    union |= n
+                for zi, m in enumerate(moves):
+                    if not row >> zi & 1:
+                        continue
+                    if any(not m & n for n in nexts):
+                        return False
+                    if required and m & ~union:
+                        return False
+    return True
 
 
 def f_step(e: PairSetFamily, g: Automaton, r: Automaton) -> PairSetFamily:

@@ -172,25 +172,63 @@ def test_a_perturbed_witness_gives_the_witness_free_report(monkeypatch):
     assert fallbacks[1] > 0 and fallbacks[2] > 0
 
 
-def test_a_witness_naming_undeclared_states_falls_back(monkeypatch):
-    calls = count_refine(monkeypatch)
+def diamond_members():
+    """The diamond's supervisor, plant, specification and members."""
     g, r = diamond_g(), diamond_r()
-    out = synthesize(g, r)
-    sup, members = out.supervisor.automaton, out.supervisor.members
-    y = sup.states[0]
-    (x, z), *rest = members[y]
-    undeclared = {
-        "supervisor state": {**members, "ghost": ()},
-        "plant state": {**members, y: (("ghost", z), *rest)},
-        "specification state": {**members, y: ((x, "ghost"), *rest)},
+    sup = synthesize(g, r).supervisor
+    return sup.automaton, g, r, sup.members
+
+
+def first_pair(members):
+    """The first supervisor state with a pair, and that pair."""
+    y = next(y for y, pairs in members.items() if pairs)
+    return y, members[y][0]
+
+
+def added_ghosts(members):
+    """The members with one pair Φ cannot place added: at an undeclared
+    supervisor state, and at a real state with an undeclared plant or
+    specification state."""
+    y, (x, z) = first_pair(members)
+    return {
+        "supervisor state": {**members, "ghost": ((x, z),)},
+        "plant state": {**members, y: (*members[y], ("ghost", z))},
+        "specification state": {**members, y: (*members[y], (x, "ghost"))},
     }
-    for what, witness in undeclared.items():
+
+
+def test_a_witness_replacing_a_pair_by_undeclared_states(monkeypatch):
+    """Φ skips what it cannot place, so an undeclared supervisor state
+    with no pairs leaves the members' Φ as it is; a plant or
+    specification state replaced by an undeclared one drops a needed
+    pair, and the sweep falls back."""
+    calls = count_refine(monkeypatch)
+    sup, g, r, members = diamond_members()
+    y, (x, z) = first_pair(members)
+    rest = members[y][1:]
+    replacing = {
+        "supervisor state": ({**members, "ghost": ()}, 1),
+        "plant state": ({**members, y: (("ghost", z), *rest)}, 2),
+        "specification state": ({**members, y: ((x, "ghost"), *rest)}, 2),
+    }
+    for what, (witness, refinements) in replacing.items():
         calls.clear()
         assert assert_same_report(sup, g, r, witness).overall, what
-        assert calls["refine"] == 2, what
+        assert calls["refine"] == refinements, what
     calls.clear()
     assert assert_same_report(sup, g, r, members).overall
     assert calls["refine"] == 1
+
+
+def test_pairs_that_cannot_be_placed_force_no_fallback(monkeypatch):
+    """Added pairs that name undeclared states are skipped: each report
+    equals the witness-free one and only that call refines."""
+    calls = count_refine(monkeypatch)
+    sup, g, r, members = diamond_members()
+    for what, witness in added_ghosts(members).items():
+        calls.clear()
+        assert assert_same_report(sup, g, r, witness).overall, what
+        assert calls["refine"] == 1, what
 
 
 def test_witness_relation_is_the_papers_phi():
@@ -199,7 +237,7 @@ def test_witness_relation_is_the_papers_phi():
     g, r = diamond_g(), diamond_r()
     sup = synthesize(g, r).supervisor
     prod = sync_product(sup.automaton, g)
-    phi = synthesis._witness_relation(sup.automaton, g, r, prod, sup.members)
+    phi = synthesis._witness_relation(prod, r, sup.members)
     want = {
         (name, z)
         for name, (y, x) in prod.pair_of.items()
